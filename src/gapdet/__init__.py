@@ -16,6 +16,14 @@ from .errors import (
     SanityCheckError,
     SingularRestrictionError,
 )
+from .gapprob import (
+    airy_gap,
+    pearcey_gap,
+    tacnode_gap_direct,
+    tacnode_gap_ratio,
+    tracy_widom_F2,
+)
+from .kernels import GapSpec, PearceyParams, TacnodeParams
 from .specfun import (
     AiryPair,
     airy_ai,
@@ -29,6 +37,14 @@ from .specfun import (
 
 __all__ = [
     "__version__",
+    "tracy_widom_F2",
+    "airy_gap",
+    "pearcey_gap",
+    "tacnode_gap_ratio",
+    "tacnode_gap_direct",
+    "PearceyParams",
+    "TacnodeParams",
+    "GapSpec",
     "AiryPair",
     "airy_ai",
     "airy_ai_prime",

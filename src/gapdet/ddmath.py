@@ -20,12 +20,13 @@ function, the Gaussian transition factor, and an LU determinant returning a
 (mantissa, power-of-two) pair because the determinants themselves can
 underflow float64 (values down to ~1e-110 arise).
 
-The Airy pair is evaluated the same way as the float64 version in
-:mod:`gapdet.specfun`: a ladder of Taylor anchors spaced 0.25 apart, seeded
-at x = 16 from the exponential asymptotic expansion truncated near its
-optimal index (error ~ exp(-2*zeta(16)) ~ 1e-37) and marched down to -30
-through the differential equation y'' = x*y.  The march runs once per
-process, on first use, in scalar arithmetic.
+The Airy pair comes from a ladder of Taylor anchors spaced 0.25 apart,
+seeded at x = 16 from the exponential asymptotic expansion truncated near
+its optimal index (error ~ exp(-2*zeta(16)) ~ 1e-37) and marched down to
+-30 through the differential equation y'' = x*y.  The ladder is built once
+per process, on first use, and is the only Airy ladder in the package: the
+float64 evaluator in :mod:`gapdet.specfun` reads the high words of the same
+coefficients.
 
 Functions accept and return (hi, lo) tuples and assume inputs normalized.
 Scalars may be passed as plain-float pairs; numpy broadcasting applies.
@@ -40,7 +41,6 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "dd_from_float",
-    "dd_to_float",
     "dd_add",
     "dd_sub",
     "dd_neg",
@@ -109,10 +109,6 @@ def dd_from_float(x):
     """Promote a float or float array to a double-double pair."""
     hi = np.asarray(x, dtype=float)
     return hi, np.zeros_like(hi)
-
-
-def dd_to_float(x):
-    return x[0]
 
 
 def dd_add(x, y):
@@ -300,15 +296,24 @@ def _seed_pair():
     return ai, aip
 
 
-def _taylor_step(x0, a, p, order):
-    """Taylor coefficients of y'' = x*y at x0 from (y, y') = (a, p)."""
-    c = [a, p]
-    x0dd = (x0, 0.0)
+def _fundamental_coeffs(x0, order):
+    """Taylor coefficients of y'' = x*y at every anchor x0.
+
+    Row k holds the k-th coefficient of the two solutions with
+    (y, y') = (1, 0) and (0, 1) at x0; shape (order, 2, len(x0)).  The
+    coefficients of any solution are the combination of these two rows
+    weighted by its (y, y'), so the recurrence runs on all anchors at once.
+    """
+    hi = np.zeros((order, 2, x0.size))
+    lo = np.zeros((order, 2, x0.size))
+    hi[0, 0] = 1.0
+    hi[1, 1] = 1.0
     for n in range(order - 2):
-        prev = c[n - 1] if n >= 1 else (0.0, 0.0)
-        t = _s_add(_s_mul(x0dd, c[n]), prev)
-        c.append(_s_div(t, (float((n + 1) * (n + 2)), 0.0)))
-    return c
+        t = dd_mul_f((hi[n], lo[n]), x0)
+        if n >= 1:
+            t = dd_add(t, (hi[n - 1], lo[n - 1]))
+        hi[n + 2], lo[n + 2] = dd_div(t, (float((n + 1) * (n + 2)), 0.0))
+    return hi, lo
 
 
 @lru_cache(maxsize=1)
@@ -317,30 +322,38 @@ def _anchor_table():
 
     Returns (c_hi, c_lo, d_hi, d_lo): value-series and derivative-series
     coefficient arrays of shape (n_anchors, order); anchor i sits at
-    x0 = _ANCHOR_TOP - i*_ANCHOR_STEP.
+    x0 = _ANCHOR_TOP - i*_ANCHOR_STEP.  Only the 2x2 map taking (y, y') from
+    one anchor to the next is applied in sequence.
     """
     n_steps = int(round((_ANCHOR_TOP - _WINDOW_MIN) / _ANCHOR_STEP))
+    x0 = _ANCHOR_TOP - _ANCHOR_STEP * np.arange(n_steps + 1)
+    hi, lo = _fundamental_coeffs(x0, _BUILD_ORDER)
+    # step matrix per anchor: Taylor sums of both solutions and their
+    # derivatives at h = -_ANCHOR_STEP (a power of two, so h-products are
+    # exact)
+    h = -_ANCHOR_STEP
+    val = (hi[-1], lo[-1])
+    der = dd_mul_f(val, float(_BUILD_ORDER - 1))
+    for k in range(_BUILD_ORDER - 2, -1, -1):
+        ck = (hi[k], lo[k])
+        val = dd_add(dd_mul_pow2(val, h), ck)
+        if k >= 1:
+            der = dd_add(dd_mul_pow2(der, h), dd_mul_f(ck, float(k)))
     a, p = _seed_pair()
-    c_hi = np.empty((n_steps + 1, _EVAL_ORDER))
-    c_lo = np.empty((n_steps + 1, _EVAL_ORDER))
-    d_hi = np.empty((n_steps + 1, _EVAL_ORDER - 1))
-    d_lo = np.empty((n_steps + 1, _EVAL_ORDER - 1))
-    h = (-_ANCHOR_STEP, 0.0)
+    ys = np.empty((4, n_steps + 1))     # a_hi, a_lo, p_hi, p_lo per anchor
     for i in range(n_steps + 1):
-        x0 = _ANCHOR_TOP - i * _ANCHOR_STEP
-        c = _taylor_step(x0, a, p, _BUILD_ORDER)
-        for k in range(_EVAL_ORDER):
-            c_hi[i, k], c_lo[i, k] = c[k]
-            if k >= 1:
-                d_hi[i, k - 1], d_lo[i, k - 1] = _s_mul(c[k], (float(k), 0.0))
-        va = (0.0, 0.0)
-        vp = (0.0, 0.0)
-        for k in range(_BUILD_ORDER - 1, -1, -1):
-            va = _s_add(_s_mul(va, h), c[k])
-            if k >= 1:
-                vp = _s_add(_s_mul(vp, h), _s_mul(c[k], (float(k), 0.0)))
-        a, p = va, vp
-    return c_hi, c_lo, d_hi, d_lo
+        ys[:, i] = (*a, *p)
+        va = (float(val[0][0, i]), float(val[1][0, i]))
+        vp = (float(val[0][1, i]), float(val[1][1, i]))
+        da = (float(der[0][0, i]), float(der[1][0, i]))
+        dp = (float(der[0][1, i]), float(der[1][1, i]))
+        a, p = (_s_add(_s_mul(va, a), _s_mul(vp, p)),
+                _s_add(_s_mul(da, a), _s_mul(dp, p)))
+    fa = (hi[:_EVAL_ORDER, 0], lo[:_EVAL_ORDER, 0])
+    fp = (hi[:_EVAL_ORDER, 1], lo[:_EVAL_ORDER, 1])
+    c = dd_add(dd_mul(fa, (ys[0], ys[1])), dd_mul(fp, (ys[2], ys[3])))
+    d = dd_mul_f((c[0][1:], c[1][1:]), np.arange(1.0, _EVAL_ORDER)[:, None])
+    return tuple(np.ascontiguousarray(v.T) for v in (c[0], c[1], d[0], d[1]))
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,8 @@ Three families live here:
   from the extended Airy kernel, a Gaussian part and an Airy-resolvent term.
 
 Kernel classes subclass :class:`gapdet.fredholm.BlockKernel` and evaluate
-whole matrices at once; the module-level functions are the scalar entry
-points mirroring them.
+whole matrices at once, as do the module-level building blocks they are
+assembled from.
 """
 
 from dataclasses import dataclass
@@ -22,26 +22,25 @@ import scipy.linalg
 from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
                      dd_div, dd_gauss_legendre, dd_heat_kernel, dd_mul,
                      dd_mul_f, dd_neg, dd_roots_of_two, dd_sqr, dd_sub)
-from .errors import (DomainError, NonConvergenceError,
-                     SingularRestrictionError)
+from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
                          map_ray)
 from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
 
 __all__ = [
-    "airy_kernel", "airy_kernel_matrix", "AiryKernel",
-    "PearceyParams", "TaggedPoint", "pearcey_kernel", "PearceyKernel",
+    "airy_kernel_matrix", "AiryKernel",
+    "PearceyParams", "PearceyKernel",
     "TacnodeParams", "GapSpec", "tacnode_block_entry", "TacnodeHKernel",
     "tail_cutoff", "tacnode_h_matrix_dd", "airy_edge_matrix_dd",
-    "ext_airy_kernel", "tacnode_coupling", "AiryResolvent",
-    "tacnode_direct_kernel", "TacnodeDirectKernel", "FormalTacnodeKernel",
-    "ConditionedKernel", "conditioned_kernel",
+    "ext_airy_matrix", "coupling_matrix", "AiryResolvent",
+    "TacnodeDirectKernel", "FormalTacnodeKernel", "ConditionedKernel",
 ]
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 _DIAG_SWITCH = 1e-6
 _EXP_GUARD = 700.0
+_MIN_INNER = 20
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +73,14 @@ def airy_kernel_matrix(x, y):
     return out
 
 
-def airy_kernel(x, y):
-    """Scalar Airy kernel value."""
-    return float(airy_kernel_matrix([x], [y])[0, 0])
-
-
 class AiryKernel(BlockKernel):
     """Airy kernel over any number of real components."""
 
     def __init__(self, n_blocks=1):
         self.n_blocks = n_blocks
-        self._weights = [1.0] * n_blocks
-
-    def with_weights(self, weights):
-        if len(weights) != self.n_blocks:
-            raise DomainError("need one column weight per block")
-        self._weights = list(weights)
-        return self
 
     def entry(self, i, j, x, y):
         return airy_kernel_matrix(np.real(x), np.real(y))
-
-    def weight(self, j):
-        return self._weights[j]
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +107,6 @@ class PearceyParams:
             raise DomainError("endpoints must be strictly increasing")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "endpoints", eps)
-
-
-@dataclass(frozen=True)
-class TaggedPoint:
-    """A contour point tagged with the component it lies on."""
-
-    value: complex
-    on_axis: bool
 
 
 def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
@@ -160,13 +136,6 @@ def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
         with np.errstate(under="ignore"):
             acc += sign * np.exp(expo)
     return -acc / (2j * np.pi * diff)
-
-
-def pearcey_kernel(lp, mp, params):
-    """Scalar Pearcey kernel entry between two tagged contour points."""
-    block = _pearcey_block(lp.on_axis, mp.on_axis,
-                           [lp.value], [mp.value], params)
-    return complex(block[0, 0])
 
 
 class PearceyKernel(BlockKernel):
@@ -537,6 +506,10 @@ def airy_edge_matrix_dd(sigma, m, cutoff):
 
 @lru_cache(maxsize=None)
 def _inner_rule(m, start=0.0, scale=4.0):
+    """m-point ray rule on [start, inf) for the inner Airy integrals."""
+    if m < _MIN_INNER:
+        raise DomainError("m_inner must be at least %d, got %d"
+                          % (_MIN_INNER, m))
     rule = gauss_legendre(m)
     u, du = map_ray(rule.nodes, start, scale)
     wu = rule.weights * du
@@ -545,7 +518,12 @@ def _inner_rule(m, start=0.0, scale=4.0):
     return u, wu
 
 
-def _ext_airy_matrix(tau1, tau2, x, y, m_inner):
+def ext_airy_matrix(tau1, tau2, x, y, m_inner):
+    """Two-parameter extension of the Airy kernel on the grid x times y.
+
+    Integrates the product of two shifted Airy functions along [0, inf)
+    with an ``m_inner``-point ray rule.
+    """
     u, wu = _inner_rule(m_inner)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -554,28 +532,7 @@ def _ext_airy_matrix(tau1, tau2, x, y, m_inner):
     return (a1 * wu[None, :]) @ a2.T
 
 
-def ext_airy_kernel(tau1, tau2, x, y, m_inner=80, check_convergence=True):
-    """Two-parameter extension of the Airy kernel.
-
-    Integrates the product of two shifted Airy functions along [0, inf).
-    With ``check_convergence`` the inner node count is doubled and the
-    refined value returned; a drift above 1e-8 raises
-    :class:`NonConvergenceError`.
-    """
-    if m_inner < 20:
-        raise DomainError("m_inner must be at least 20")
-    v1 = complex(_ext_airy_matrix(tau1, tau2, [x], [y], m_inner)[0, 0]).real
-    if not check_convergence:
-        return v1
-    v2 = complex(_ext_airy_matrix(tau1, tau2, [x], [y], 2 * m_inner)[0, 0]).real
-    if abs(v2 - v1) > 1e-8:
-        raise NonConvergenceError(
-            "extended airy kernel drifted %.3e on doubling the inner rule"
-            % abs(v2 - v1), values=(v1, v2), err_estimate=abs(v2 - v1))
-    return v2
-
-
-def _coupling_matrix(tau, xi, u, m_inner):
+def coupling_matrix(tau, xi, u, m_inner):
     """Matrix [xi_i, u_p] of the coupling function.
 
     The coupling of a time slice to the resolvent domain is the shifted Airy
@@ -589,21 +546,6 @@ def _coupling_matrix(tau, xi, u, m_inner):
     f = airy_shifted(tau, -xi[:, None] + _CBRT2 * v[None, :])
     g, _ = _airy_eval(v[:, None] + u[None, :])
     return term1 - (f * wv[None, :]) @ g
-
-
-def tacnode_coupling(tau, xi, u, m_inner=80, check_convergence=True):
-    """Scalar coupling-function value; see :func:`_coupling_matrix`."""
-    if m_inner < 20:
-        raise DomainError("m_inner must be at least 20")
-    v1 = float(_coupling_matrix(tau, [xi], [u], m_inner)[0, 0])
-    if not check_convergence:
-        return v1
-    v2 = float(_coupling_matrix(tau, [xi], [u], 2 * m_inner)[0, 0])
-    if abs(v2 - v1) > 1e-8:
-        raise NonConvergenceError(
-            "coupling function drifted %.3e on doubling the inner rule"
-            % abs(v2 - v1), values=(v1, v2), err_estimate=abs(v2 - v1))
-    return v2
 
 
 # ---------------------------------------------------------------------------
@@ -649,22 +591,6 @@ class AiryResolvent:
         return (g * self.colw[None, :]) @ b.T
 
 
-def tacnode_direct_kernel(t1, x1, t2, x2, params, resolvent, m_inner=80):
-    """Direct space-time tacnode kernel at times t1, t2 and positions x1, x2.
-
-    Assembled as: extended Airy kernel at the mirrored positions, minus the
-    Gaussian transition for t1 > t2, plus the Airy-resolvent correction on
-    [sigma_tilde, inf).
-    """
-    sig = params.sigma
-    k0 = _ext_airy_matrix(t1, t2, [sig - x1], [sig - x2], m_inner)[0, 0]
-    gauss = heat_kernel(t1 - t2, x1, x2) if t1 > t2 else 0.0
-    a = _coupling_matrix(t1, [x1 - sig], resolvent.nodes, m_inner)
-    b = _coupling_matrix(-t2, [x2 - sig], resolvent.nodes, m_inner)
-    corr = resolvent.term_matrix(a, b)[0, 0]
-    return float(np.real(k0 - gauss + corr))
-
-
 class TacnodeDirectKernel(BlockKernel):
     """Direct tacnode kernel over the finite gap components."""
 
@@ -672,6 +598,7 @@ class TacnodeDirectKernel(BlockKernel):
         if spec.n_times != params.r:
             raise DomainError("gap spec has %d time slots, params has %d"
                               % (spec.n_times, params.r))
+        _inner_rule(m_inner)            # rejects a too-coarse inner rule now
         self.params = params
         self.spec = spec
         self.resolvent = resolvent
@@ -697,11 +624,11 @@ class TacnodeDirectKernel(BlockKernel):
         ti, tj = self._times[i], self._times[j]
         x = np.real(np.asarray(x))
         y = np.real(np.asarray(y))
-        k0 = _ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
+        k0 = ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
         if ti > tj:
             k0 = k0 - heat_kernel(ti - tj, x[:, None], y[None, :])
-        a = _coupling_matrix(ti, x - sig, self.resolvent.nodes, self.m_inner)
-        b = _coupling_matrix(-tj, y - sig, self.resolvent.nodes, self.m_inner)
+        a = coupling_matrix(ti, x - sig, self.resolvent.nodes, self.m_inner)
+        b = coupling_matrix(-tj, y - sig, self.resolvent.nodes, self.m_inner)
         return k0 + self.resolvent.term_matrix(a, b)
 
 
@@ -718,6 +645,7 @@ class FormalTacnodeKernel(BlockKernel):
     """
 
     def __init__(self, params, m_inner=80):
+        _inner_rule(m_inner)            # rejects a too-coarse inner rule now
         self.params = params
         self.m_inner = m_inner
         self.n_blocks = 1 + params.r
@@ -730,13 +658,13 @@ class FormalTacnodeKernel(BlockKernel):
             return airy_kernel_matrix(x, y)
         if i == 0:
             tj = self.params.times[j - 1]
-            return -_coupling_matrix(-tj, y - sig, x, self.m_inner).T
+            return -coupling_matrix(-tj, y - sig, x, self.m_inner).T
         if j == 0:
             ti = self.params.times[i - 1]
-            return -_coupling_matrix(ti, x - sig, y, self.m_inner)
+            return -coupling_matrix(ti, x - sig, y, self.m_inner)
         ti = self.params.times[i - 1]
         tj = self.params.times[j - 1]
-        out = _ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
+        out = ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
         if ti > tj:
             out = out - heat_kernel(ti - tj, x[:, None], y[None, :])
         return out
@@ -781,20 +709,3 @@ class ConditionedKernel:
 
     def value(self, b1, y1, b2, y2):
         return float(self.value_matrix(b1, [y1], b2, [y2])[0, 0])
-
-
-def conditioned_kernel(base, a_component, rule, y1, y2,
-                       a_block=0, y1_block=0, y2_block=0):
-    """Scalar conditioned-kernel value; see :class:`ConditionedKernel`.
-
-    ``a_component=None`` means conditioning on nothing: the correction
-    vanishes and the bare kernel comes back.  For repeated evaluation
-    against a fixed region, build the class once instead: it caches the
-    LU factorization of (I - K|_A).
-    """
-    if a_component is None:
-        bare = base.entry(y1_block, y2_block,
-                          np.atleast_1d(float(y1)), np.atleast_1d(float(y2)))
-        return float(np.real(bare[0, 0]))
-    ck = ConditionedKernel(base, a_component, rule, a_block=a_block)
-    return ck.value(y1_block, y1, y2_block, y2)

@@ -185,15 +185,8 @@ class DomainComponent:
                                label=label or "[%g,%g]" % (a, b))
 
     @staticmethod
-    def ray(start, scale=4.0, truncate_at=None, label=""):
-        """Ray [start, inf); ``truncate_at`` switches to the debugging
-        fallback that integrates on [start, start + truncate_at] instead."""
-        if truncate_at is not None:
-            if not truncate_at > 0.0:
-                raise DomainError("truncation length must be positive")
-            return DomainComponent.finite(
-                start, start + truncate_at,
-                label=label or "[%g,inf) truncated" % start)
+    def ray(start, scale=4.0, label=""):
+        """Ray [start, inf) through the map :func:`map_ray`."""
         if not np.isfinite(start):
             raise DomainError("ray start must be finite")
         if not scale > 0.0:

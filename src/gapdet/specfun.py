@@ -1,42 +1,28 @@
 """Airy function, its shifted variant, Gaussian kernel and quartic phase.
 
 The Airy pair (Ai, Ai') is evaluated from scratch; no special-function
-library is used at runtime.  The evaluation strategy stitches together
-four regimes:
+library is used at runtime.  Two regimes cover the window:
 
-* ``|x| <= 3.5``      -- Maclaurin series of the two independent solutions
-  of y'' = x*y, combined with the exact closed-form values at the origin.
-* ``3.5 < |x| < 9``   -- local Taylor expansions about a ladder of anchor
-  points spaced 0.25 apart.  The anchor values are produced at import time
-  by Taylor-stepping the differential equation from x = +/-12, where the
-  asymptotic expansions are accurate to machine precision.  Stepping runs
-  towards the origin, which is the stable direction on the positive side
-  (Ai grows relative to the companion solution) and neutral on the
-  oscillatory side.
-* ``x >= 9``          -- the exponential asymptotic expansion.
-* ``x <= -9``         -- the trigonometric asymptotic expansion.
-
-Plain float64 summation of the Maclaurin series loses roughly one digit per
-unit of |x| past ~5 (growth on the right, cancellation on the left) and the
-asymptotic series at |x| = 4.5 bottoms out near 3e-7 relative, so neither
-classical branch alone covers (4.5, 9) at the accuracy targeted here; the
-anchor ladder bridges that strip.  The series handoff sits at 3.5 rather
-than where the series first becomes unusable: between 3.5 and 4.5 its
-terms already outweigh Ai(x) by ~1e5, and the resulting ~1e-14 absolute
-noise is enough to spoil second-difference checks of the differential
-equation, while the ladder stays noise-free there.  Absolute accuracy is
-~1e-13 or better on
-[-15, 30] and degrades gracefully towards x = -30.  For large positive x the
-exponential form underflows to an exact 0.0 (the correctly rounded value)
-rather than raising.
+* ``x < 16``  -- the Taylor polynomial of degree 21 about the nearest anchor
+  of the ladder built by :mod:`gapdet.ddmath` (anchors every 0.25 on
+  [-30, 16]), read from the high words of its double-double coefficients.
+  With |x - anchor| <= 1/8 the truncation error is below 1e-24 relative to
+  the local amplitude, so what remains is float64 rounding: a few units in
+  the last place, relative to Ai itself on the positive side.  The ladder
+  is built once per process, on first use.
+* ``x >= 16`` -- the exponential asymptotic expansion, 25 terms, whose
+  truncation error there is below 1e-22 relative.  Far out it underflows to
+  an exact 0.0 (the correctly rounded value) rather than raising.
 
 Accuracy window: x >= -30.  Arguments below -30 raise :class:`DomainError`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .ddmath import _ANCHOR_STEP, _ANCHOR_TOP, _WINDOW_MIN, _anchor_table
 from .errors import DomainError
 
 __all__ = [
@@ -51,21 +37,10 @@ __all__ = [
     "AIRY_WINDOW_MIN",
 ]
 
-# exact values at the origin: Ai(0) = 3^(-2/3)/Gamma(2/3),
-# Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 0.3550280538878172392600632
-_AIP0 = -0.2588194037928067984051836
-
-_SEAM_CORE = 3.5     # Maclaurin <-> anchor ladder
-_SEAM_ASYM = 9.0     # anchor ladder <-> asymptotic series
-_ANCHOR_STEP = 0.25
-_ANCHOR_SEED = 12.0  # asymptotics are eps-accurate from here outward
-_SERIES_TERMS = 60
 _ASYM_TERMS = 25
-_STEP_ORDER = 30     # Taylor order while marching anchor seeds
 _EVAL_ORDER = 22     # Taylor order for runtime anchor evaluation
 
-AIRY_WINDOW_MIN = -30.0
+AIRY_WINDOW_MIN = _WINDOW_MIN
 
 _SQRT_PI = np.sqrt(np.pi)
 _TWO_SIXTH = 2.0 ** (1.0 / 6.0)
@@ -80,7 +55,7 @@ class AiryPair:
 
 
 def _asym_coeffs(n):
-    """Coefficient sequences u_k, v_k of the large-|x| expansions."""
+    """Coefficient sequences u_k, v_k of the large-x expansion."""
     u = np.empty(n)
     v = np.empty(n)
     u[0] = 1.0
@@ -93,31 +68,6 @@ def _asym_coeffs(n):
 
 
 _U_COEF, _V_COEF = _asym_coeffs(_ASYM_TERMS)
-
-
-def _ai_series(x):
-    """Maclaurin-series branch; accurate for |x| <= ~5."""
-    x = np.asarray(x, dtype=float)
-    x3 = x * x * x
-    f = np.ones_like(x)
-    g = x.copy()
-    fp = np.zeros_like(x)
-    gp = np.ones_like(x)
-    tf = np.ones_like(x)
-    tg = x.copy()
-    tfp = 0.5 * x * x
-    tgp = np.ones_like(x)
-    fp += tfp
-    for k in range(_SERIES_TERMS):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        tfp = tfp * x3 / ((3 * k + 3) * (3 * k + 5))
-        tgp = tgp * x3 / ((3 * k + 1) * (3 * k + 3))
-        f += tf
-        g += tg
-        fp += tfp
-        gp += tgp
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
 
 
 def _ai_asym_pos_scaled(x):
@@ -142,94 +92,27 @@ def _ai_asym_pos(x):
     return amp_ai * damp, amp_aip * damp
 
 
-def _ai_asym_neg(x):
-    """Trigonometric-form expansion for x <= -9."""
-    t = -np.asarray(x, dtype=float)
-    zeta = (2.0 / 3.0) * t * np.sqrt(t)
-    chi = zeta - 0.25 * np.pi
-    z2 = -1.0 / (zeta * zeta)
-    even_u = np.zeros_like(t)
-    odd_u = np.zeros_like(t)
-    even_v = np.zeros_like(t)
-    odd_v = np.zeros_like(t)
-    last_even = _ASYM_TERMS - 1 - ((_ASYM_TERMS - 1) % 2)
-    for k in range(last_even, -1, -2):
-        even_u = even_u * z2 + _U_COEF[k]
-        even_v = even_v * z2 + _V_COEF[k]
-    last_odd = _ASYM_TERMS - 1 - ((_ASYM_TERMS) % 2)
-    for k in range(last_odd, 0, -2):
-        odd_u = odd_u * z2 + _U_COEF[k]
-        odd_v = odd_v * z2 + _V_COEF[k]
-    odd_u /= zeta
-    odd_v /= zeta
-    root = np.sqrt(np.sqrt(t))
-    c, s = np.cos(chi), np.sin(chi)
-    ai = (c * even_u + s * odd_u) / (_SQRT_PI * root)
-    aip = (s * even_v - c * odd_v) * root / _SQRT_PI
-    return ai, aip
+@lru_cache(maxsize=1)
+def _anchor_coeffs():
+    """High words of the anchor table, one contiguous row per order."""
+    c_hi, _, d_hi, _ = _anchor_table()
+    return (np.ascontiguousarray(c_hi[:, :_EVAL_ORDER].T),
+            np.ascontiguousarray(d_hi[:, :_EVAL_ORDER - 1].T))
 
 
-def _taylor_coeffs(x0, a, p, order):
-    """Taylor coefficients of the solution of y'' = x*y at x0."""
-    c = np.empty(order)
-    c[0] = a
-    c[1] = p
-    for n in range(order - 2):
-        prev = c[n - 1] if n >= 1 else 0.0
-        c[n + 2] = (x0 * c[n] + prev) / ((n + 1) * (n + 2))
-    return c
-
-def _march(x0, a, p, h, steps):
-    out = [(x0, a, p)]
-    x, va, vp = x0, a, p
-    for _ in range(steps):
-        c = _taylor_coeffs(x, va, vp, _STEP_ORDER)
-        va = 0.0
-        vp = 0.0
-        for k in range(_STEP_ORDER - 1, -1, -1):
-            va = va * h + c[k]
-            if k >= 1:
-                vp = vp * h + k * c[k]
-        x += h
-        out.append((x, va, vp))
-    return out
-
-
-def _build_anchor_table(seed_x, h, steps):
-    a0, p0 = (float(v) for v in _ai_asym_pos(seed_x)) if seed_x > 0 \
-        else (float(v) for v in _ai_asym_neg(seed_x))
-    pts = _march(seed_x, a0, p0, h, steps)
-    pts.sort(key=lambda r: r[0])
-    xs = np.array([r[0] for r in pts])
-    coef = np.empty((len(pts), _EVAL_ORDER))
-    dcoef = np.empty((len(pts), _EVAL_ORDER - 1))
-    for i, (x, a, p) in enumerate(pts):
-        c = _taylor_coeffs(x, a, p, _EVAL_ORDER)
-        coef[i] = c
-        dcoef[i] = c[1:] * np.arange(1, _EVAL_ORDER)
-    return xs, coef, dcoef
-
-
-_N_STEPS = int(round((_ANCHOR_SEED - _SEAM_CORE) / _ANCHOR_STEP))
-_AX_POS, _AC_POS, _AD_POS = _build_anchor_table(_ANCHOR_SEED, -_ANCHOR_STEP,
-                                                _N_STEPS)
-_AX_NEG, _AC_NEG, _AD_NEG = _build_anchor_table(-_ANCHOR_SEED, _ANCHOR_STEP,
-                                                _N_STEPS)
-
-
-def _ai_anchor(x, xs, coef, dcoef):
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.rint((x - xs[0]) / _ANCHOR_STEP).astype(int),
-                  0, len(xs) - 1)
-    h = x - xs[idx]
-    ca = coef[idx]
-    cd = dcoef[idx]
-    ai = ca[..., -1]
-    for k in range(ca.shape[-1] - 2, -1, -1):
-        ai = ai * h + ca[..., k]
-    aip = cd[..., -1]
-    for k in range(cd.shape[-1] - 2, -1, -1):
-        aip = aip * h + cd[..., k]
+def _ai_anchor(x):
+    coef, dcoef = _anchor_coeffs()
+    idx = np.rint((_ANCHOR_TOP - x) / _ANCHOR_STEP).astype(np.intp)
+    idx = np.clip(idx, 0, coef.shape[1] - 1)
+    h = x - (_ANCHOR_TOP - _ANCHOR_STEP * idx)
+    ai = coef[-1][idx]
+    for k in range(_EVAL_ORDER - 2, -1, -1):
+        ai *= h
+        ai += coef[k][idx]
+    aip = dcoef[-1][idx]
+    for k in range(_EVAL_ORDER - 3, -1, -1):
+        aip *= h
+        aip += dcoef[k][idx]
     return ai, aip
 
 
@@ -240,26 +123,16 @@ def _airy_eval(x):
         raise DomainError(
             "airy argument %g below accuracy window minimum %g"
             % (float(np.min(x)), AIRY_WINDOW_MIN))
+    near = x < _ANCHOR_TOP
+    if np.all(near):
+        return _ai_anchor(x)
     ai = np.empty_like(x)
     aip = np.empty_like(x)
-    m_core = np.abs(x) <= _SEAM_CORE
-    m_pos_a = (x > _SEAM_CORE) & (x < _SEAM_ASYM)
-    m_neg_a = (x < -_SEAM_CORE) & (x > -_SEAM_ASYM)
-    m_pos = x >= _SEAM_ASYM
-    m_neg = x <= -_SEAM_ASYM
-    if np.any(m_core):
-        ai[m_core], aip[m_core] = _ai_series(x[m_core])
-    if np.any(m_pos_a):
-        ai[m_pos_a], aip[m_pos_a] = _ai_anchor(x[m_pos_a], _AX_POS,
-                                               _AC_POS, _AD_POS)
-    if np.any(m_neg_a):
-        ai[m_neg_a], aip[m_neg_a] = _ai_anchor(x[m_neg_a], _AX_NEG,
-                                               _AC_NEG, _AD_NEG)
-    if np.any(m_pos):
-        with np.errstate(under="ignore"):
-            ai[m_pos], aip[m_pos] = _ai_asym_pos(x[m_pos])
-    if np.any(m_neg):
-        ai[m_neg], aip[m_neg] = _ai_asym_neg(x[m_neg])
+    if np.any(near):
+        ai[near], aip[near] = _ai_anchor(x[near])
+    far = ~near
+    with np.errstate(under="ignore"):
+        ai[far], aip[far] = _ai_asym_pos(x[far])
     return ai, aip
 
 
@@ -298,7 +171,7 @@ def airy_shifted(tau, x):
     pref = tau * xv + 2.0 * tau ** 3 / 3.0
     out = np.empty_like(xv)
 
-    far = w >= _SEAM_ASYM
+    far = w >= _ANCHOR_TOP
     if np.any(far):
         amp_ai, _, zeta = _ai_asym_pos_scaled(w[far])
         expo = pref[far] - zeta

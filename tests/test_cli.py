@@ -165,6 +165,12 @@ def test_positivity_probe_finds_negative_minor(capsys):
     assert len(parse_rows(text)) == 55
 
 
+def test_positivity_probe_rejects_coarse_inner_rule(capsys):
+    rc = main(["positivity-probe", "--n-samples", "0", "--m-inner", "5"])
+    assert rc == 2
+    assert "m_inner must be at least 20" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Limit-regime parameter maps
 

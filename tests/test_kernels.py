@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from gapdet.errors import DomainError, SingularRestrictionError
 from gapdet.fredholm import assemble
+from gapdet.gapprob import tacnode_gap_direct
 from gapdet.kernels import (
     AiryKernel,
     AiryResolvent,
@@ -14,18 +15,14 @@ from gapdet.kernels import (
     GapSpec,
     PearceyKernel,
     PearceyParams,
+    TacnodeDirectKernel,
     TacnodeHKernel,
     TacnodeParams,
-    TaggedPoint,
     airy_edge_matrix_dd,
-    airy_kernel,
     airy_kernel_matrix,
-    conditioned_kernel,
-    ext_airy_kernel,
-    pearcey_kernel,
+    coupling_matrix,
+    ext_airy_matrix,
     tacnode_block_entry,
-    tacnode_coupling,
-    tacnode_direct_kernel,
     tacnode_h_matrix_dd,
     tail_cutoff,
 )
@@ -34,6 +31,23 @@ from gapdet.quadrature import (DomainComponent, edge_components,
 from gapdet.specfun import airy_ai, airy_ai_prime, airy_shifted, heat_kernel
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
+
+# the Pearcey kernel's component order: left branch, imaginary axis,
+# right branch
+LEFT, AXIS, RIGHT = 0, 1, 2
+
+
+def airy_kernel(x, y):
+    return airy_kernel_matrix([x], [y])[0, 0]
+
+
+def converged_inner(fn, *args):
+    """Value of ``fn(*args, m_inner)`` at m_inner = 160, after checking that
+    doubling the inner rule from 80 moves it by at most 1e-8."""
+    coarse = fn(*args, 80)
+    fine = fn(*args, 160)
+    assert np.max(np.abs(fine - coarse)) <= 1e-8
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +86,16 @@ def test_airy_kernel_factorization():
         assert_allclose(airy_kernel(x, y), integral, rtol=0, atol=1e-9)
 
 
-def test_airy_block_kernel_weights():
-    ker = AiryKernel(2).with_weights([1.0, 0.25])
-    assert ker.weight(0) == 1.0
-    assert ker.weight(1) == 0.25
-    with pytest.raises(DomainError):
-        AiryKernel(2).with_weights([1.0])
-
-
 # ---------------------------------------------------------------------------
 # Pearcey kernel
 
 def test_pearcey_same_component_blocks_vanish():
-    par = PearceyParams(1.0, (-1.0, 1.0))
-    p_contour = TaggedPoint(1.0 + 0.5j, False)
-    q_contour = TaggedPoint(1.0 - 0.5j, False)
-    p_axis = TaggedPoint(0.5j, True)
-    q_axis = TaggedPoint(-2.0j, True)
-    assert pearcey_kernel(p_contour, q_contour, par) == 0.0
-    assert pearcey_kernel(p_axis, q_axis, par) == 0.0
+    ker = PearceyKernel(PearceyParams(1.0, (-1.0, 1.0)))
+    contour = np.array([1.0 + 0.5j, -1.0 - 0.5j])
+    axis = np.array([0.5j, -2.0j])
+    for i, j in ((LEFT, RIGHT), (RIGHT, RIGHT), (LEFT, LEFT)):
+        assert np.all(ker.entry(i, j, contour, contour[::-1]) == 0.0)
+    assert np.all(ker.entry(AXIS, AXIS, axis, axis[::-1]) == 0.0)
 
 
 def test_pearcey_contour_to_axis_formula():
@@ -98,7 +103,9 @@ def test_pearcey_contour_to_axis_formula():
 
     par = PearceyParams(0.0, (-1.0, 1.0))
     lam, mu = 1.0 + 0.0j, 1.0j
-    got = pearcey_kernel(TaggedPoint(lam, False), TaggedPoint(mu, True), par)
+    ker = PearceyKernel(par)
+    got = ker.entry(RIGHT, AXIS, [lam], [mu])[0, 0]
+    assert ker.entry(LEFT, AXIS, [lam], [mu])[0, 0] == got
     want = np.exp(0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))) \
         / (2j * np.pi * (lam - mu))
     assert_allclose(got, complex(want), rtol=1e-14)
@@ -109,7 +116,9 @@ def test_pearcey_axis_to_contour_formula():
 
     par = PearceyParams(0.0, (-1.0, 1.0))
     lam, mu = 1.0j, 1.0 + 0.0j
-    got = pearcey_kernel(TaggedPoint(lam, True), TaggedPoint(mu, False), par)
+    ker = PearceyKernel(par)
+    got = ker.entry(AXIS, RIGHT, [lam], [mu])[0, 0]
+    assert ker.entry(AXIS, LEFT, [lam], [mu])[0, 0] == got
     acc = 0.0
     for k, a in enumerate(par.endpoints):
         sign = -1.0 if (k + 1) % 2 else 1.0
@@ -277,21 +286,27 @@ def test_double_double_assembly_rejects_complex_weights():
 
 def test_ext_airy_reduces_to_airy_at_zero_times():
     xs = np.linspace(-2.0, 2.0, 5)
-    for x in xs:
-        for y in xs:
-            got = ext_airy_kernel(0.0, 0.0, x, y)
-            assert abs(got - airy_kernel(x, y)) < 1e-9
+    got = converged_inner(ext_airy_matrix, 0.0, 0.0, xs, xs)
+    assert np.max(np.abs(got - airy_kernel_matrix(xs, xs))) < 1e-9
 
 
 def test_ext_airy_time_reversal_symmetry():
-    a = ext_airy_kernel(0.5, -0.2, 1.0, 2.0)
-    b = ext_airy_kernel(0.2, -0.5, 2.0, 1.0)
+    a = converged_inner(ext_airy_matrix, 0.5, -0.2, [1.0], [2.0])
+    b = converged_inner(ext_airy_matrix, 0.2, -0.5, [2.0], [1.0])
     assert_allclose(a, b, rtol=1e-12)
 
 
 def test_ext_airy_guards():
+    # inner rules below 20 nodes are rejected wherever they enter
     with pytest.raises(DomainError):
-        ext_airy_kernel(0.0, 0.0, 0.0, 0.0, m_inner=10)
+        ext_airy_matrix(0.0, 0.0, [0.0], [0.0], 10)
+    with pytest.raises(DomainError):
+        coupling_matrix(0.0, [0.0], [0.0], 10)
+    par = TacnodeParams(0.0, (0.0,))
+    with pytest.raises(DomainError):
+        FormalTacnodeKernel(par, m_inner=10)
+    with pytest.raises(DomainError):
+        tacnode_gap_direct(GapSpec([[(-1.0, 1.0)]]), par, m_inner=10)
 
 
 def test_coupling_consistency_with_direct_quadrature():
@@ -301,12 +316,13 @@ def test_coupling_consistency_with_direct_quadrature():
     v, dv = map_ray(rule.nodes, 0.0, 4.0)
     integral = np.sum(rule.weights * dv * 2.0 ** (1.0 / 6.0)
                       * airy_ai(CBRT2 * v) * airy_ai(v))
-    got = tacnode_coupling(0.0, 0.0, 0.0)
+    got = converged_inner(coupling_matrix, 0.0, [0.0], [0.0])[0, 0]
     assert_allclose(got, airy_shifted(0.0, 0.0) - integral, rtol=0, atol=1e-9)
 
 
 def test_coupling_decays_along_the_ray():
-    assert abs(tacnode_coupling(0.0, 0.0, 15.0)) < 1e-6
+    got = converged_inner(coupling_matrix, 0.0, [0.0], [15.0])[0, 0]
+    assert abs(got) < 1e-6
 
 
 def test_resolvent_solves_identity_like_system():
@@ -327,19 +343,22 @@ def test_resolvent_singular_far_left():
 
 def test_direct_kernel_correction_vanishes_for_large_sigma():
     par = TacnodeParams(6.0, (0.0,))
-    res = AiryResolvent(par.sigma_tilde, 80)
-    xi = 0.3
-    full = tacnode_direct_kernel(0.0, xi, 0.0, xi, par, res)
-    bare = ext_airy_kernel(0.0, 0.0, par.sigma - xi, par.sigma - xi)
-    assert abs(full - bare) < 1e-6
+    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]),
+                              AiryResolvent(par.sigma_tilde, 80))
+    xi = np.array([0.3])
+    full = ker.entry(0, 0, xi, xi)
+    bare = converged_inner(ext_airy_matrix, 0.0, 0.0, par.sigma - xi,
+                           par.sigma - xi)
+    assert abs(full[0, 0] - bare[0, 0]) < 1e-6
 
 
 def test_direct_kernel_symmetric_at_equal_times():
     par = TacnodeParams(0.0, (0.0,))
-    res = AiryResolvent(par.sigma_tilde, 40)
-    a = tacnode_direct_kernel(0.0, 0.4, 0.0, -0.6, par, res)
-    b = tacnode_direct_kernel(0.0, -0.6, 0.0, 0.4, par, res)
-    assert_allclose(a, b, rtol=1e-12)
+    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]),
+                              AiryResolvent(par.sigma_tilde, 40))
+    x = np.array([0.4, -0.6])
+    got = ker.entry(0, 0, x, x)
+    assert_allclose(got[0, 1], got[1, 0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +376,6 @@ def test_formal_kernel_block_structure():
     a = ker.entry(0, 1, x, y)
     b = ker.entry(1, 0, y, x)
     assert_allclose(a, b.T, rtol=0, atol=1e-14)
-
-
-def test_conditioned_kernel_none_region_returns_bare():
-    base = AiryKernel(1)
-    got = conditioned_kernel(base, None, gauss_legendre(40), 0.1, 0.4)
-    assert got == airy_kernel(0.1, 0.4)
 
 
 def test_conditioned_kernel_symmetry():

@@ -173,14 +173,9 @@ def test_finite_component_maps_affinely():
         DomainComponent.finite(0.0, np.inf)
 
 
-def test_ray_component_and_truncation_fallback():
+def test_ray_component():
     ray = DomainComponent.ray(2.0)
     assert ray.kind == "ray" and not ray.is_contour
-    trunc = DomainComponent.ray(2.0, truncate_at=12.0)
-    assert trunc.kind == "finite"
-    assert (trunc.a, trunc.b) == (2.0, 14.0)
-    with pytest.raises(DomainError):
-        DomainComponent.ray(2.0, truncate_at=-1.0)
     with pytest.raises(DomainError):
         DomainComponent.ray(np.inf)
 

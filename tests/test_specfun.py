@@ -37,8 +37,13 @@ def test_airy_matches_golden_table():
     x, ai, aip = load_airy_golden()
     assert x.shape == ai.shape == aip.shape
     assert x[0] == -15.0 and x[-1] == 30.0
-    assert_allclose(airy_ai(x), ai, rtol=0, atol=1e-12)
-    assert_allclose(airy_ai_prime(x), aip, rtol=0, atol=1e-12)
+    assert_allclose(airy_ai(x), ai, rtol=0, atol=1e-14)
+    assert_allclose(airy_ai_prime(x), aip, rtol=0, atol=1e-14)
+    # on the decaying side the error must also be small relative to Ai
+    # itself; the anchor ladder reaches 16
+    pos = (x > 0.0) & (x < 16.0)
+    assert_allclose(airy_ai(x[pos]), ai[pos], rtol=1e-14, atol=0)
+    assert_allclose(airy_ai_prime(x[pos]), aip[pos], rtol=1e-14, atol=0)
 
 
 def test_airy_pair_consistent_with_scalars():
@@ -62,11 +67,12 @@ def test_airy_asymptotic_tail():
 
 
 def test_airy_branch_seams_are_smooth():
-    # the evaluator switches branches at +-3.5 and +-9.0; after removing
-    # the function's own slope, any branch mismatch would show up as a
-    # jump across the switch point
+    # the evaluator hands over to the asymptotic series at 16 and from one
+    # Taylor anchor to the next halfway between anchors; after removing
+    # the function's own slope, any mismatch would show up as a jump
+    # across the switch point
     h = 1e-9
-    for seam in (3.5, -3.5, 9.0, -9.0):
+    for seam in (16.0, 3.625, -0.125, -9.125, -29.875):
         jump = airy_ai(seam + h) - airy_ai(seam - h) \
             - 2.0 * h * airy_ai_prime(seam)
         assert abs(jump) < 1e-12
