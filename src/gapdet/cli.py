@@ -66,7 +66,7 @@ def _guarded(worker):
 
 
 def _diag(res):
-    return {"err_estimate": res.err_estimate,
+    return {"err": res.err_estimate,
             "imag_residual": res.imag_residual,
             "m_used": list(res.m_used),
             "route": (res.parts or {}).get("route")}
@@ -157,8 +157,7 @@ def run_tw(s_min, s_max, steps, m0=40, tol=1e-8):
     @_guarded
     def worker(s):
         res = tracy_widom_F2(s, m0=m0, tol=tol)
-        return {"s": float(s), "F2": res.real, "err": res.err_estimate,
-                **_diag(res)}
+        return {"s": float(s), "F2": res.real, **_diag(res)}
     rows = _map_rows(worker, list(grid))
     for s, row in zip(grid, rows):
         row.setdefault("s", float(s))
@@ -172,7 +171,7 @@ def run_pearcey(tau, endpoints, m0=60, tol=1e-8):
         res = pearcey_gap(params, m0=m0, tol=tol)
         return {"tau": tau,
                 "endpoints": ";".join(_fmt(float(a)) for a in endpoints),
-                "F_P": res.real, "err": res.err_estimate, **_diag(res)}
+                "F_P": res.real, **_diag(res)}
     rows = _map_rows(worker, [0])
     rows[0].setdefault("tau", tau)
     return ["tau", "endpoints", "F_P", "err", "error"], rows
@@ -207,8 +206,7 @@ def run_tacnode(sigma, times, intervals, route="ratio", m0=40, tol=1e-8,
         spec = GapSpec(per_time=intervals)
         fn = tacnode_gap_ratio if route == "ratio" else tacnode_gap_direct
         res = fn(spec, params, m0=m0, tol=tol, force_sigma=force_sigma)
-        return {"sigma": sigma, "F_tac": res.real, "err": res.err_estimate,
-                **_diag(res)}
+        return {"sigma": sigma, "F_tac": res.real, **_diag(res)}
     rows = _map_rows(worker, [0])
     rows[0].setdefault("sigma", sigma)
     return ["sigma", "F_tac", "err", "error"], rows
@@ -227,8 +225,7 @@ def run_scan_pearcey_airy(tau, lo, hi, n, m0=60, tol=1e-8):
                           m0=m0, tol=tol)
         ref = f2[sig] * f2[rho]
         return {"rho": rho, "sigma": sig, "F_P": res.real, "F2F2": ref,
-                "reldiff": 1.0 - res.real / ref, "err": res.err_estimate,
-                **_diag(res)}
+                "reldiff": 1.0 - res.real / ref, **_diag(res)}
     pairs = [(float(r), float(s)) for r in grid for s in grid]
     rows = _map_rows(worker, pairs)
     for (rho, sig), row in zip(pairs, rows):
@@ -259,8 +256,7 @@ def run_scan_tacnode_pearcey(sigmas, a_p, b_p, taus_p, branch=1.0, m0=40,
         res = tacnode_gap_ratio(GapSpec(per_time=per_time),
                                 TacnodeParams(sigma=sigma, times=taus),
                                 m0=m0, tol=tol, force_sigma=force_sigma)
-        return {"sigma": sigma, "F_tac": res.real, "err": res.err_estimate,
-                **_diag(res)}
+        return {"sigma": sigma, "F_tac": res.real, **_diag(res)}
     rows = _map_rows(worker, [float(s) for s in sigmas])
     prev = None
     for sigma, row in zip(sigmas, rows):
@@ -311,8 +307,7 @@ def run_scan_tacnode_airy(a, b, mode, lo, hi, n, fixed=None, one_sided=False,
                                 TacnodeParams(sigma=sigma, times=(tau,)),
                                 m0=m0, tol=tol, force_sigma=force_sigma)
         return {"param": param, "F_tac": res.real, "F2F2": ref,
-                "reldiff": 1.0 - res.real / ref, "err": res.err_estimate,
-                **_diag(res)}
+                "reldiff": 1.0 - res.real / ref, **_diag(res)}
     grid = [float(p) for p in np.linspace(lo, hi, n)]
     rows = _map_rows(worker, grid)
     for param, row in zip(grid, rows):
@@ -374,11 +369,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _common(sub, m0_default):
+def _common(sub, m0_default, tol=True):
     sub.add_argument("--m0", type=int, default=m0_default,
                      help="starting nodes per component")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="convergence tolerance")
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-8,
+                         help="convergence tolerance")
     sub.add_argument("--json", action="store_true",
                      help="emit JSON with per-row diagnostics")
     sub.add_argument("--out", default=None, help="write output to a file")
@@ -459,7 +455,7 @@ def build_parser():
     p.add_argument("--n-samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--m-inner", type=int, default=80)
-    _common(p, 40)
+    _common(p, 40, tol=False)
     return top
 
 

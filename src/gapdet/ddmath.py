@@ -286,8 +286,14 @@ def _seed_pair():
     for k in range(_SEED_TERMS - 2, -1, -1):
         su = _s_add(_s_mul(su, t), u[k])
         sv = _s_add(_s_mul(sv, t), v[k])
-    e = dd_exp((np.asarray(-zeta[0]), np.asarray(-zeta[1])))
-    damp = (float(e[0]), float(e[1]))
+    # exp(-zeta) as exp(-42) * exp(-2/3): exp turns the absolute rounding
+    # of its argument into relative error; 42 is exact and 2/3 rounds 64x
+    # finer than 128/3
+    two_thirds = _s_div((2.0, 0.0), (3.0, 0.0))
+    e = dd_exp((np.array([-42.0, -two_thirds[0]]),
+                np.array([0.0, -two_thirds[1]])))
+    damp = _s_mul((float(e[0][0]), float(e[1][0])),
+                  (float(e[0][1]), float(e[1][1])))
     root = (2.0, 0.0)                    # 16^(1/4)
     den = _s_mul(_s_mul((2.0, 0.0), _sqrt_pi_s()), root)
     ai = _s_div(_s_mul(su, damp), den)

@@ -8,8 +8,14 @@ and y on component j.  ``assemble`` produces the matrix
 
 with all quadrature weights attached to the column index (one-sided
 weighting).  The determinant of M converges to det(I - K) as the rule is
-refined; ``fredholm_det`` estimates the discretization error by doubling
-the per-component node count and comparing.
+refined.
+
+Every value the package reports comes out of one refinement ladder,
+:func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
+more at 4*m0 if the Cauchy difference of the last two is still above the
+tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
+a single determinant; the tacnode routes in :mod:`gapdet.gapprob` run it on
+determinant ratios.
 """
 
 import warnings
@@ -22,7 +28,7 @@ from .errors import (DomainError, KernelEvaluationError, NonConvergenceError)
 from .quadrature import gauss_legendre
 
 __all__ = ["BlockKernel", "DetResult", "assemble", "determinant",
-           "fredholm_det", "det_at"]
+           "fredholm_det", "det_at", "ladder"]
 
 
 class BlockKernel:
@@ -46,12 +52,13 @@ class BlockKernel:
 
 @dataclass(frozen=True)
 class DetResult:
-    """Converged determinant value plus convergence diagnostics.
+    """Converged value of one :func:`ladder` plus convergence diagnostics.
 
-    ``err_estimate`` is the Cauchy difference between the last two
-    resolutions, ``m_used`` the per-component node counts that produced
-    ``value``, and ``norm_surrogate`` the max row sum of the weighted kernel
-    matrix (an operator-norm stand-in used by sanity checks).
+    ``err_estimate`` is the Cauchy difference between the last two rungs,
+    ``m_used`` the node count of the final rung per domain component, and
+    ``norm_surrogate`` the final rung's max row sum of the weighted kernel
+    matrix (an operator-norm stand-in used by sanity checks).  ``parts``
+    holds whatever else the final rung reported.
     """
 
     value: complex
@@ -148,31 +155,46 @@ def det_at(kernel, domains, m):
     return determinant(mat), surrogate
 
 
-def fredholm_det(kernel, domains, m0=40, tol=1e-8):
-    """det(I - K) with node doubling until the Cauchy estimate meets tol.
+def ladder(rung, m0, tol, n_components=1):
+    """Refine ``rung`` until the Cauchy estimate meets ``tol``.
 
-    Starts at m0 nodes per component, always computes 2*m0, and tries 4*m0
-    once if needed.  Raises :class:`NonConvergenceError`, carrying the last
-    two values, when even 4*m0 leaves the difference above tol.
+    ``rung(m)`` evaluates the quantity with m nodes per component and
+    returns ``(value, parts)``, where ``parts`` is a dict holding at least
+    ``norm_surrogate``.  The ladder runs m0 and 2*m0, and 4*m0 once if
+    needed; it raises :class:`NonConvergenceError`, carrying the last two
+    values, when even 4*m0 leaves the difference above tol.  The
+    :class:`DetResult` takes its value, surrogate and remaining parts from
+    the final rung and reports ``(m,) * n_components`` as ``m_used``.
     """
     if m0 < 10:
         raise DomainError("m0 must be at least 10, got %d" % m0)
-    d_prev, _ = det_at(kernel, domains, m0)
-    d_curr, surrogate = det_at(kernel, domains, 2 * m0)
-    err = abs(d_curr - d_prev)
-    m_final = 2 * m0
+    prev, _ = rung(m0)
+    m = 2 * m0
+    curr, parts = rung(m)
+    err = abs(curr - prev)
     if err > tol:
-        d_prev = d_curr
-        d_curr, surrogate = det_at(kernel, domains, 4 * m0)
-        err = abs(d_curr - d_prev)
-        m_final = 4 * m0
+        prev = curr
+        m = 4 * m0
+        curr, parts = rung(m)
+        err = abs(curr - prev)
         if err > tol:
             raise NonConvergenceError(
-                "determinant not converged: |d(%d) - d(%d)| = %.3e > %.3e"
-                % (m_final, m_final // 2, err, tol),
-                values=(d_prev, d_curr), err_estimate=err)
-    return DetResult(value=d_curr,
+                "not converged: |v(%d) - v(%d)| = %.3e > %.3e"
+                % (m, m // 2, err, tol),
+                values=(prev, curr), err_estimate=err)
+    value = complex(curr)
+    surrogate = parts.pop("norm_surrogate")
+    return DetResult(value=value,
                      err_estimate=err,
-                     imag_residual=abs(d_curr.imag),
-                     m_used=tuple([m_final] * len(domains)),
-                     norm_surrogate=surrogate)
+                     imag_residual=abs(value.imag),
+                     m_used=(m,) * n_components,
+                     norm_surrogate=surrogate,
+                     parts=parts)
+
+
+def fredholm_det(kernel, domains, m0=40, tol=1e-8):
+    """det(I - K) refined by :func:`ladder` over :func:`det_at`."""
+    def rung(m):
+        value, surrogate = det_at(kernel, domains, m)
+        return value, {"norm_surrogate": surrogate}
+    return ladder(rung, m0, tol, n_components=len(domains))

@@ -23,12 +23,12 @@ import math
 import numpy as np
 
 from .ddmath import dd_det, dd_div
-from .errors import (DivisionInstabilityError, DomainError,
-                     NonConvergenceError, SanityCheckError)
-from .fredholm import BlockKernel, DetResult, det_at, fredholm_det
+from .errors import DivisionInstabilityError, DomainError, SanityCheckError
+from .fredholm import BlockKernel, det_at, fredholm_det, ladder
 from .kernels import (AiryKernel, AiryResolvent, PearceyKernel,
                       TacnodeDirectKernel, TacnodeHKernel,
-                      airy_edge_matrix_dd, tacnode_h_matrix_dd, tail_cutoff)
+                      airy_edge_matrix_dd, check_slots, tacnode_h_matrix_dd,
+                      tail_cutoff)
 from .quadrature import DomainComponent, edge_components
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
@@ -45,7 +45,6 @@ DD_SIGMA = -3.0
 _DEN_FLOOR = 1e-12
 _IMAG_TOL = 1e-8
 _PROB_SLACK = 1e-6
-_LADDER = (1, 2, 4)
 
 
 def _check_probability(res, what):
@@ -125,30 +124,6 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _ratio_ladder(rung, m0, tol):
-    """Shared doubling protocol for determinant ratios.
-
-    ``rung(m)`` returns (ratio, parts) at one node count.  Both
-    determinants of a ratio are always advanced together so that their
-    discretization errors stay correlated and partially cancel.
-    """
-    r_prev, _ = rung(_LADDER[0] * m0)
-    r_curr, parts = rung(_LADDER[1] * m0)
-    err = abs(r_curr - r_prev)
-    m_final = _LADDER[1] * m0
-    if err > tol:
-        r_prev = r_curr
-        r_curr, parts = rung(_LADDER[2] * m0)
-        err = abs(r_curr - r_prev)
-        m_final = _LADDER[2] * m0
-        if err > tol:
-            raise NonConvergenceError(
-                "ratio not converged: |r(%d) - r(%d)| = %.3e > %.3e"
-                % (m_final, m_final // 2, err, tol),
-                values=(r_prev, r_curr), err_estimate=err)
-    return r_curr, err, m_final, parts
-
-
 def _ratio_rung_f64(kernel, den_kernel, den_domains, m):
     num, surrogate = det_at(kernel, kernel.domains(), m)
     den, _ = det_at(den_kernel, den_domains, m)
@@ -157,7 +132,7 @@ def _ratio_rung_f64(kernel, den_kernel, den_domains, m):
             "denominator %.3e is below %.1e; its float64 digits cannot "
             "support the ratio" % (abs(den), _DEN_FLOOR))
     parts = {"route": "float64", "numerator": num, "denominator": den,
-             "norm_surrogate": surrogate}
+             "cutoff": kernel.cutoff, "norm_surrogate": surrogate}
     return num / den, parts
 
 
@@ -195,7 +170,7 @@ def _ratio_rung_dd(spec, params, cutoff, m):
              "denominator": _dd_as_float(mant_d, e_d),
              "log10_numerator": _dd_log10(mant_n, e_n),
              "log10_denominator": _dd_log10(mant_d, e_d),
-             "norm_surrogate": surrogate}
+             "cutoff": cutoff, "norm_surrogate": surrogate}
     return ratio, parts
 
 
@@ -206,7 +181,8 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     [0, X] and [sigma_tilde, X] plus the gap intervals, with interval
     columns weighted by (1 - z); the denominator is the Airy kernel on
     [sigma_tilde, X].  Numerator and denominator share the rule family
-    and the cutoff X and are refined in lockstep.
+    and the cutoff X and are refined in lockstep, so that their
+    discretization errors stay correlated and partially cancel.
 
     With every interval empty, or every weight at z = 1, the interval
     blocks drop out of the numerator and the ratio collapses to 1; both
@@ -218,9 +194,7 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     to be trusted raises :class:`DivisionInstabilityError`.
     """
     _check_sigma_window(params, force_sigma)
-    if spec.n_times != params.r:
-        raise DomainError("gap spec has %d time slots, params has %d"
-                          % (spec.n_times, params.r))
+    check_slots(spec, params)
     weights = [z for _, _, _, z in spec.flat()]
     real_weights = all(z.imag == 0.0 for z in weights)
     cutoff = tail_cutoff(params, spec)
@@ -235,14 +209,7 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
 
         def rung(m):
             return _ratio_rung_f64(kernel, den_kernel, den_domains, m)
-    value, err, m_final, parts = _ratio_ladder(rung, m0, tol)
-    value = complex(value)
-    parts["cutoff"] = cutoff
-    res = DetResult(value=value, err_estimate=err,
-                    imag_residual=abs(value.imag),
-                    m_used=(m_final,),
-                    norm_surrogate=parts.pop("norm_surrogate"),
-                    parts=parts)
+    res = ladder(rung, m0, tol)
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
@@ -264,9 +231,7 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
     singular, and it reports that honestly.
     """
     _check_sigma_window(params, force_sigma)
-    if spec.n_times != params.r:
-        raise DomainError("gap spec has %d time slots, params has %d"
-                          % (spec.n_times, params.r))
+    check_slots(spec, params)
 
     def rung(m):
         resolvent = AiryResolvent(params.sigma_tilde, m)
@@ -276,12 +241,7 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
         return val, {"route": "direct", "norm_surrogate": surrogate,
                      "resolvent_rcond": resolvent.rcond}
 
-    value, err, m_final, parts = _ratio_ladder(rung, m0, tol)
-    res = DetResult(value=complex(value), err_estimate=err,
-                    imag_residual=abs(complex(value).imag),
-                    m_used=(m_final,),
-                    norm_surrogate=parts.pop("norm_surrogate"),
-                    parts=parts)
+    res = ladder(rung, m0, tol)
     if all(z == 0.0 for _, _, _, z in spec.flat()):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res

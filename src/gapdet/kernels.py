@@ -31,7 +31,8 @@ from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
 __all__ = [
     "airy_kernel_matrix", "AiryKernel",
     "PearceyParams", "PearceyKernel",
-    "TacnodeParams", "GapSpec", "tacnode_block_entry", "TacnodeHKernel",
+    "TacnodeParams", "GapSpec", "check_slots", "tacnode_block_entry",
+    "TacnodeHKernel",
     "tail_cutoff", "tacnode_h_matrix_dd", "airy_edge_matrix_dd",
     "ext_airy_matrix", "coupling_matrix", "AiryResolvent",
     "TacnodeDirectKernel", "FormalTacnodeKernel", "ConditionedKernel",
@@ -247,6 +248,13 @@ class GapSpec:
         return out
 
 
+def check_slots(spec, params):
+    """Reject a gap spec whose time-slot count differs from params'."""
+    if spec.n_times != params.r:
+        raise DomainError("gap spec has %d time slots, params has %d"
+                          % (spec.n_times, params.r))
+
+
 # ---------------------------------------------------------------------------
 # Tacnode block kernel (determinant-ratio route)
 
@@ -317,9 +325,7 @@ class TacnodeHKernel(BlockKernel):
     """
 
     def __init__(self, params, spec, cutoff=None):
-        if spec.n_times != params.r:
-            raise DomainError("gap spec has %d time slots, params has %d"
-                              % (spec.n_times, params.r))
+        check_slots(spec, params)
         self.params = params
         self.spec = spec
         self.cutoff = float(cutoff) if cutoff is not None \
@@ -429,9 +435,7 @@ def tacnode_h_matrix_dd(params, spec, m, cutoff=None):
     per component.  Interval z-weights must be real; the double-double path
     serves the deep-|sigma| regime where the scans use real weights.
     """
-    if spec.n_times != params.r:
-        raise DomainError("gap spec has %d time slots, params has %d"
-                          % (spec.n_times, params.r))
+    check_slots(spec, params)
     if cutoff is None:
         cutoff = tail_cutoff(params, spec)
     rule = dd_gauss_legendre(m)
@@ -551,6 +555,23 @@ def coupling_matrix(tau, xi, u, m_inner):
 # ---------------------------------------------------------------------------
 # Airy resolvent on [start, inf) and the direct tacnode kernel
 
+def _factor_restriction(kmat, colw, what):
+    """LU factors of I - K diag(colw) and their 1-norm rcond estimate.
+
+    Raises :class:`SingularRestrictionError`, led by ``what``, when LAPACK
+    reports a failure or rcond falls below 1e-13.
+    """
+    mat = -kmat * colw[None, :]
+    mat[np.diag_indices(len(colw))] += 1.0
+    anorm = scipy.linalg.norm(mat, 1)
+    lu = scipy.linalg.lu_factor(mat)
+    rcond, info = scipy.linalg.lapack.dgecon(lu[0], anorm)
+    if info != 0 or rcond < 1e-13:
+        raise SingularRestrictionError("%s (rcond %.3e)" % (what, rcond),
+                                       rcond=rcond)
+    return lu, float(rcond)
+
+
 class AiryResolvent:
     """LU-factorized discretization of (I - K_Ai) on a ray [start, inf).
 
@@ -566,16 +587,10 @@ class AiryResolvent:
         self.m = int(m)
         self.nodes = u
         self.colw = rule.weights * du
-        mat = -airy_kernel_matrix(u, u) * self.colw[None, :]
-        mat[np.diag_indices(m)] += 1.0
-        anorm = scipy.linalg.norm(mat, 1)
-        self._lu = scipy.linalg.lu_factor(mat)
-        rcond, info = scipy.linalg.lapack.dgecon(self._lu[0], anorm)
-        if info != 0 or rcond < 1e-13:
-            raise SingularRestrictionError(
-                "airy restriction on [%g, inf) is singular to working "
-                "precision (rcond %.3e)" % (start, rcond), rcond=rcond)
-        self.rcond = float(rcond)
+        self._lu, self.rcond = _factor_restriction(
+            airy_kernel_matrix(u, u), self.colw,
+            "airy restriction on [%g, inf) is singular to working "
+            "precision" % start)
 
     def solve(self, rhs):
         """(I - K)^(-1) applied to columns of rhs sampled at the nodes."""
@@ -595,9 +610,7 @@ class TacnodeDirectKernel(BlockKernel):
     """Direct tacnode kernel over the finite gap components."""
 
     def __init__(self, params, spec, resolvent, m_inner=80):
-        if spec.n_times != params.r:
-            raise DomainError("gap spec has %d time slots, params has %d"
-                              % (spec.n_times, params.r))
+        check_slots(spec, params)
         _inner_rule(m_inner)            # rejects a too-coarse inner rule now
         self.params = params
         self.spec = spec
@@ -686,17 +699,10 @@ class ConditionedKernel:
         pts, dp = a_component.map_points(rule.nodes)
         self.nodes = np.asarray(pts)
         self.colw = rule.weights * dp
-        mat = -np.asarray(base.entry(a_block, a_block, self.nodes, self.nodes),
-                          dtype=float) * self.colw[None, :]
-        mat[np.diag_indices(len(self.nodes))] += 1.0
-        anorm = scipy.linalg.norm(mat, 1)
-        self._lu = scipy.linalg.lu_factor(mat)
-        rcond, info = scipy.linalg.lapack.dgecon(self._lu[0], anorm)
-        if info != 0 or rcond < 1e-13:
-            raise SingularRestrictionError(
-                "conditioning region has vanishing free probability "
-                "(rcond %.3e)" % rcond, rcond=rcond)
-        self.rcond = float(rcond)
+        self._lu, self.rcond = _factor_restriction(
+            np.asarray(base.entry(a_block, a_block, self.nodes, self.nodes),
+                       dtype=float), self.colw,
+            "conditioning region has vanishing free probability")
 
     def value_matrix(self, b1, y1, b2, y2):
         y1 = np.atleast_1d(np.asarray(y1, dtype=float))

@@ -94,6 +94,12 @@ def test_failed_row_exits_2_and_reports(capsys):
     assert row["F_tac"] == ""
 
 
+def test_positivity_probe_has_no_tol_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["positivity-probe", "--tol", "123", "--n-samples", "1"])
+    assert exc.value.code == 3
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -130,7 +136,8 @@ def test_tacnode_json_diagnostics(capsys):
     assert row["route"] == "double-double"
     assert row["m_used"] == [80]
     assert_allclose(row["F_tac"], 0.00984940930935679, rtol=1e-9)
-    assert row["err_estimate"] <= 1e-8
+    assert row["err"] <= 1e-8
+    assert "err_estimate" not in row
 
 
 def test_scan_tacnode_airy_degenerate_gap_row(capsys):

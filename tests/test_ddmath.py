@@ -125,10 +125,12 @@ def test_gauss_legendre_moments_in_double_double():
                                30.0, 60.0])
 def test_airy_pair_matches_mpmath(x):
     ai, aip = dd_airy_pair(sdd(x))
-    # relative to the local amplitude, which the asymptotic envelope tracks
+    # relative to the local amplitude, which the asymptotic envelope tracks;
+    # below x = 16 the anchor table carries the seed's ~5e-32 error
     amp = max(abs(mp.airyai(x)), abs(mp.airyai(x, 1)), mp.mpf("1e-300"))
-    assert rel_err(ai, mp.airyai(x)) * abs(mp.airyai(x)) / amp < 1e-27
-    assert rel_err(aip, mp.airyai(x, 1)) * abs(mp.airyai(x, 1)) / amp < 1e-27
+    bound = 1e-31 if x < 16.0 else 1e-27
+    assert rel_err(ai, mp.airyai(x)) * abs(mp.airyai(x)) / amp < bound
+    assert rel_err(aip, mp.airyai(x, 1)) * abs(mp.airyai(x, 1)) / amp < bound
 
 
 def test_airy_pair_guards_and_tail():

@@ -10,7 +10,9 @@ from gapdet.errors import (DomainError, KernelEvaluationError,
                            NonConvergenceError)
 from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
                              fredholm_det)
-from gapdet.kernels import AiryKernel, airy_kernel_matrix
+from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
+from gapdet.kernels import (AiryKernel, GapSpec, TacnodeParams,
+                            airy_kernel_matrix)
 from gapdet.quadrature import DomainComponent, gauss_legendre
 
 
@@ -219,16 +221,40 @@ def test_norm_surrogate_bounds_probability_like_values():
     assert 0.0 < res.real < 2.0
 
 
-def test_non_convergence_reports_last_two_values():
+# Every ladder in the package, as (m0, tol) -> DetResult, with a start and
+# a tolerance it cannot meet: the jump kernel converges only slowly, and
+# the float64 tacnode routes at sigma = 0 stall at rounding level.
+def jump_det(m0, tol):
+    return fredholm_det(JumpKernel(), [DomainComponent.finite(0.0, 1.0)],
+                        m0=m0, tol=tol)
+
+
+def tacnode_ratio(m0, tol):
+    return tacnode_gap_ratio(GapSpec([[(-1.0, 1.0)]]),
+                             TacnodeParams(0.0, (0.0,)), m0=m0, tol=tol)
+
+
+def tacnode_direct(m0, tol):
+    return tacnode_gap_direct(GapSpec([[(-1.0, 1.0)]]),
+                              TacnodeParams(0.0, (0.0,)), m0=m0, tol=tol)
+
+
+LADDERS = [pytest.param(jump_det, 10, 1e-14, id="fredholm_det"),
+           pytest.param(tacnode_ratio, 40, 1e-17, id="tacnode_gap_ratio"),
+           pytest.param(tacnode_direct, 40, 1e-17, id="tacnode_gap_direct")]
+
+
+@pytest.mark.parametrize("run, m0, tol", LADDERS)
+def test_non_convergence_reports_last_two_values(run, m0, tol):
     with pytest.raises(NonConvergenceError) as info:
-        fredholm_det(JumpKernel(), [DomainComponent.finite(0.0, 1.0)],
-                     m0=10, tol=1e-14)
+        run(m0, tol)
     err = info.value
     assert len(err.values) == 2
-    assert err.err_estimate > 1e-14
-    assert abs(err.values[0] - err.values[1]) == err.err_estimate
+    assert err.err_estimate > tol
+    assert abs(err.values[1] - err.values[0]) == err.err_estimate
 
 
-def test_m0_floor():
+@pytest.mark.parametrize("run, m0, tol", LADDERS)
+def test_m0_floor(run, m0, tol):
     with pytest.raises(DomainError):
-        fredholm_det(ZeroKernel(), [DomainComponent.finite(0, 1)], m0=5)
+        run(5, 1e-8)

@@ -201,11 +201,13 @@ def test_tacnode_sigma_window():
 
 
 def test_tacnode_slot_count_mismatch():
-    spec = GapSpec([[(-1.0, 1.0)]])
-    with pytest.raises(DomainError):
-        tacnode_gap_ratio(spec, TacnodeParams(0.0, (0.0, 1.0)))
-    with pytest.raises(DomainError):
-        tacnode_gap_direct(spec, TacnodeParams(0.0, (0.0, 1.0)))
+    one_slot = GapSpec([[(-1.0, 1.0)]])
+    two_slots = GapSpec([[(-1.0, 1.0)], [(-1.0, 1.0)]])
+    for spec, times in ((one_slot, (0.0, 1.0)), (two_slots, (0.0,))):
+        with pytest.raises(DomainError):
+            tacnode_gap_ratio(spec, TacnodeParams(0.0, times))
+        with pytest.raises(DomainError):
+            tacnode_gap_direct(spec, TacnodeParams(0.0, times))
 
 
 # ---------------------------------------------------------------------------
