@@ -106,9 +106,11 @@ def _emit(args, meta, columns, rows):
     return 2 if any("error" in row for row in rows) else 0
 
 
-def _meta(args, command, flags):
-    parts = ["gapdet", __version__, command]
-    for name in flags:
+def _meta(args):
+    """The comment line: version, subcommand and every flag that
+    :func:`_common` recorded for it."""
+    parts = ["gapdet", __version__, args.command]
+    for name in args.meta_flags:
         val = getattr(args, name.replace("-", "_"))
         if val is None:
             continue
@@ -375,6 +377,11 @@ def _common(sub, m0_default, tol=True):
     if tol:
         sub.add_argument("--tol", type=float, default=1e-8,
                          help="convergence tolerance")
+    # every flag registered so far shapes the values and goes into the
+    # meta line; the output format and path below do not
+    sub.set_defaults(meta_flags=[act.option_strings[0][2:]
+                                 for act in sub._actions
+                                 if act.dest != "help"])
     sub.add_argument("--json", action="store_true",
                      help="emit JSON with per-row diagnostics")
     sub.add_argument("--out", default=None, help="write output to a file")
@@ -461,22 +468,18 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    meta = _meta(args)
     try:
         if args.command == "tw":
-            meta = _meta(args, "tw", ["s-min", "s-max", "steps", "m0", "tol"])
             cols, rows = run_tw(args.s_min, args.s_max, args.steps,
                                 m0=args.m0, tol=args.tol)
         elif args.command == "pearcey":
             if len(args.endpoints) % 2:
                 sys.stderr.write("error: endpoint count must be even\n")
                 raise SystemExit(3)
-            meta = _meta(args, "pearcey", ["tau", "endpoints", "m0", "tol"])
             cols, rows = run_pearcey(args.tau, args.endpoints,
                                      m0=args.m0, tol=args.tol)
         elif args.command == "tacnode":
-            meta = _meta(args, "tacnode",
-                         ["sigma", "times", "intervals", "route",
-                          "force-sigma", "m0", "tol"])
             try:
                 ivs = _parse_intervals(args.intervals, len(args.times))
             except ValueError as exc:
@@ -487,31 +490,20 @@ def main(argv=None):
                                      tol=args.tol,
                                      force_sigma=args.force_sigma)
         elif args.command == "scan-pearcey-airy":
-            meta = _meta(args, "scan-pearcey-airy",
-                         ["tau", "lo", "hi", "n", "m0", "tol"])
             cols, rows = run_scan_pearcey_airy(args.tau, args.lo, args.hi,
                                                args.n, m0=args.m0,
                                                tol=args.tol)
         elif args.command == "scan-tacnode-pearcey":
-            meta = _meta(args, "scan-tacnode-pearcey",
-                         ["sigmas", "a-p", "b-p", "tau-p", "branch",
-                          "force-sigma", "m0", "tol"])
             branch = 1.0 if args.branch == "plus" else -1.0
             cols, rows = run_scan_tacnode_pearcey(
                 args.sigmas, args.a_p, args.b_p, args.tau_p, branch=branch,
                 m0=args.m0, tol=args.tol, force_sigma=args.force_sigma)
         elif args.command == "scan-tacnode-airy":
-            meta = _meta(args, "scan-tacnode-airy",
-                         ["a", "b", "mode", "lo", "hi", "n", "fixed",
-                          "one-sided", "force-sigma", "m0", "tol"])
             cols, rows = run_scan_tacnode_airy(
                 args.a, args.b, args.mode, args.lo, args.hi, args.n,
                 fixed=args.fixed, one_sided=args.one_sided, m0=args.m0,
                 tol=args.tol, force_sigma=args.force_sigma)
         else:
-            meta = _meta(args, "positivity-probe",
-                         ["sigma", "tau", "n-samples", "seed", "m-inner",
-                          "m0"])
             cols, rows, min_det, found = run_positivity_probe(
                 args.sigma, args.tau, n_samples=args.n_samples,
                 seed=args.seed, m0=args.m0, m_inner=args.m_inner)

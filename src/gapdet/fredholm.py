@@ -8,7 +8,9 @@ and y on component j.  ``assemble`` produces the matrix
 
 with all quadrature weights attached to the column index (one-sided
 weighting).  The determinant of M converges to det(I - K) as the rule is
-refined.
+refined.  ``assemble_dd`` builds the same matrix in double-double (see
+:mod:`gapdet.ddmath`) from the same kernel and components, so a component
+layout is described once for both precisions.
 
 Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
@@ -24,11 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .ddmath import dd_add, dd_add_f, dd_gauss_legendre, dd_mul, dd_mul_f, \
+    dd_sub
 from .errors import (DomainError, KernelEvaluationError, NonConvergenceError)
 from .quadrature import gauss_legendre
 
-__all__ = ["BlockKernel", "DetResult", "assemble", "determinant",
-           "fredholm_det", "det_at", "ladder"]
+__all__ = ["BlockKernel", "DetResult", "assemble", "assemble_dd",
+           "determinant", "fredholm_det", "det_at", "ladder"]
 
 
 class BlockKernel:
@@ -38,12 +42,17 @@ class BlockKernel:
     receives 1-d arrays of points on components i and j and returns the
     (len(x), len(y)) matrix of kernel values.  ``weight(j)`` supplies an
     optional scalar factor applied to all columns of component j (used for
-    generating-function weights); the default is 1.
+    generating-function weights); the default is 1.  Kernels that also
+    assemble in double-double implement ``entry_dd(i, j, x, y)``, the same
+    matrix with (hi, lo) pairs in and out.
     """
 
     n_blocks = 1
 
     def entry(self, i, j, x, y):
+        raise NotImplementedError
+
+    def entry_dd(self, i, j, x, y):
         raise NotImplementedError
 
     def weight(self, j):
@@ -110,6 +119,49 @@ def assemble(kernel, domains, rule):
     return out, surrogate
 
 
+def assemble_dd(kernel, domains, m):
+    """Double-double twin of :func:`assemble` on the m-point rule.
+
+    Every component must be finite; it is mapped affinely onto
+    :func:`gapdet.ddmath.dd_gauss_legendre` with the span, the points and
+    the column weights carried in double-double.  Column weights must be
+    real.  Returns the hi and lo words of I - K W and the surrogate of
+    :func:`assemble`, taken over the hi words.
+    """
+    if kernel.n_blocks != len(domains):
+        raise DomainError("kernel has %d blocks but %d domains given"
+                          % (kernel.n_blocks, len(domains)))
+    t, w = dd_gauss_legendre(m)
+    pts = []
+    colw = []
+    for j, dom in enumerate(domains):
+        if dom.kind != "finite":
+            raise DomainError("double-double assembly needs finite "
+                              "components, got %s %r" % (dom.kind, dom.label))
+        zw = complex(kernel.weight(j))
+        if zw.imag != 0.0:
+            raise DomainError("double-double path requires real weights")
+        a = (dom.a, 0.0)
+        span = dd_sub((dom.b, 0.0), a)
+        pts.append(dd_add(dd_mul(t, span), a))
+        wts = dd_mul_f(dd_mul(w, span), zw.real)
+        colw.append((wts[0][None, :], wts[1][None, :]))
+    offs = np.concatenate([[0], np.cumsum([p[0].size for p in pts])])
+    n = int(offs[-1])
+    hi = np.zeros((n, n))
+    lo = np.zeros((n, n))
+    for i in range(len(domains)):
+        for j in range(len(domains)):
+            blk = dd_mul(kernel.entry_dd(i, j, pts[i], pts[j]), colw[j])
+            hi[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[0]
+            lo[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[1]
+    surrogate = float(np.max(np.sum(np.abs(hi), axis=1))) if n else 0.0
+    hi, lo = -hi, -lo
+    idx = np.arange(n)
+    hi[idx, idx], lo[idx, idx] = dd_add_f((hi[idx, idx], lo[idx, idx]), 1.0)
+    return hi, lo, surrogate
+
+
 def _locate_failure(kernel, i, j, xs, ys):
     for x in xs:
         for y in ys:
@@ -120,32 +172,27 @@ def _locate_failure(kernel, i, j, xs, ys):
     return None, None
 
 
-def determinant(matrix, return_singular_flag=False):
+def determinant(matrix):
     """Determinant via dense LU with partial pivoting.
 
-    A zero pivot is reported as an exactly zero determinant; the optional
-    flag tells the caller that the matrix was singular to working precision.
+    A zero pivot, a matrix singular to working precision, is reported as an
+    exactly zero determinant.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("determinant needs a square matrix")
     if matrix.shape[0] == 0:
-        return (1.0 + 0.0j, False) if return_singular_flag else 1.0 + 0.0j
+        return 1.0 + 0.0j
     with warnings.catch_warnings():
-        # a zero pivot is a handled outcome (det = 0, flag set), not a
-        # condition to warn about
+        # a zero pivot is a handled outcome (det = 0), not a condition to
+        # warn about
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix, check_finite=True)
     diag = np.diag(lu)
-    singular = bool(np.any(diag == 0.0))
-    if singular:
-        det = 0.0 + 0.0j
-    else:
-        nswaps = int(np.sum(piv != np.arange(len(piv))))
-        det = complex((-1.0) ** nswaps * np.prod(diag))
-    if return_singular_flag:
-        return det, singular
-    return det
+    if np.any(diag == 0.0):
+        return 0.0 + 0.0j
+    nswaps = int(np.sum(piv != np.arange(len(piv))))
+    return complex((-1.0) ** nswaps * np.prod(diag))
 
 
 def det_at(kernel, domains, m):

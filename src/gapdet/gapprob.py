@@ -16,6 +16,10 @@ The ratio route therefore switches to the double-double engine (see
 :mod:`gapdet.ddmath`) once sigma <= -3; that path covers real interval
 weights, which is all the deep-overlap scans need.  Complex weights stay
 on the float64 path and degrade honestly through the convergence ladder.
+Both precisions discretize the same kernels on the same components:
+:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`
+read one :class:`gapdet.kernels.TacnodeHKernel` and one Airy denominator,
+and the route only picks which of the two rung functions runs.
 """
 
 import math
@@ -24,11 +28,9 @@ import numpy as np
 
 from .ddmath import dd_det, dd_div
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
-from .fredholm import BlockKernel, det_at, fredholm_det, ladder
+from .fredholm import BlockKernel, assemble_dd, det_at, fredholm_det, ladder
 from .kernels import (AiryKernel, AiryResolvent, PearceyKernel,
-                      TacnodeDirectKernel, TacnodeHKernel,
-                      airy_edge_matrix_dd, check_slots, tacnode_h_matrix_dd,
-                      tail_cutoff)
+                      TacnodeDirectKernel, TacnodeHKernel, check_slots)
 from .quadrature import DomainComponent, edge_components
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
@@ -73,8 +75,7 @@ def tracy_widom_F2(s, m0=40, tol=1e-8):
     s = float(s)
     if not -12.0 <= s <= 12.0:
         raise DomainError("s must lie in [-12, 12], got %g" % s)
-    dom = [DomainComponent.ray(s, label="[s,inf)")]
-    res = fredholm_det(AiryKernel(1), dom, m0=m0, tol=tol)
+    res = generating_function(AiryKernel(1), [(s, math.inf)], m0=m0, tol=tol)
     _check_probability(res, "F2(%g)" % s)
     return res
 
@@ -82,18 +83,15 @@ def tracy_widom_F2(s, m0=40, tol=1e-8):
 def airy_gap(intervals, m0=40, tol=1e-8):
     """Airy-process gap probability det(I - K_Ai) on a finite interval union.
 
-    ``intervals`` is a sequence of (a, b) pairs with a < b, finite.
+    ``intervals`` is a sequence of disjoint (a, b) pairs with a < b, finite;
+    this is :func:`generating_function` at z = 0 without the ray.
     """
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
+    ivs = [(float(a), float(b)) for a, b in intervals]
     for a, b in ivs:
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        if not np.isfinite(b):
             raise DomainError("interval needs finite a < b, got [%r, %r]"
                               % (a, b))
-    for k in range(len(ivs) - 1):
-        if ivs[k][1] > ivs[k + 1][0]:
-            raise DomainError("intervals must be disjoint")
-    doms = [DomainComponent.finite(a, b) for a, b in ivs]
-    res = fredholm_det(AiryKernel(len(doms)), doms, m0=m0, tol=tol)
+    res = generating_function(AiryKernel(1), ivs, m0=m0, tol=tol)
     _check_probability(res, "airy gap")
     return res
 
@@ -150,10 +148,10 @@ def _dd_log10(mant, exp2):
     return math.log10(abs(float(mant[0]))) + int(exp2) * math.log10(2.0)
 
 
-def _ratio_rung_dd(spec, params, cutoff, m):
-    nh, nl = tacnode_h_matrix_dd(params, spec, m, cutoff=cutoff)
+def _ratio_rung_dd(kernel, den_kernel, den_domains, m):
+    nh, nl, surrogate = assemble_dd(kernel, kernel.domains(), m)
     mant_n, e_n = dd_det(nh, nl)
-    dh, dl = airy_edge_matrix_dd(params.sigma, m, cutoff)
+    dh, dl, _ = assemble_dd(den_kernel, den_domains, m)
     mant_d, e_d = dd_det(dh, dl)
     if mant_d[0] == 0.0:
         raise DivisionInstabilityError(
@@ -161,16 +159,12 @@ def _ratio_rung_dd(spec, params, cutoff, m):
     q = dd_div((np.asarray(mant_n[0]), np.asarray(mant_n[1])),
                (np.asarray(mant_d[0]), np.asarray(mant_d[1])))
     ratio = float(q[0]) * 2.0 ** (e_n - e_d)
-    idx = np.arange(nh.shape[0])
-    delta = nh.copy()
-    delta[idx, idx] -= 1.0
-    surrogate = float(np.max(np.sum(np.abs(delta), axis=1)))
     parts = {"route": "double-double",
              "numerator": _dd_as_float(mant_n, e_n),
              "denominator": _dd_as_float(mant_d, e_d),
              "log10_numerator": _dd_log10(mant_n, e_n),
              "log10_denominator": _dd_log10(mant_d, e_d),
-             "cutoff": cutoff, "norm_surrogate": surrogate}
+             "cutoff": kernel.cutoff, "norm_surrogate": surrogate}
     return ratio, parts
 
 
@@ -194,22 +188,17 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     to be trusted raises :class:`DivisionInstabilityError`.
     """
     _check_sigma_window(params, force_sigma)
-    check_slots(spec, params)
+    kernel = TacnodeHKernel(params, spec)
+    den_domains = edge_components(params.sigma_tilde, kernel.cutoff,
+                                  label="edge")
+    den_kernel = AiryKernel(len(den_domains))
     weights = [z for _, _, _, z in spec.flat()]
-    real_weights = all(z.imag == 0.0 for z in weights)
-    cutoff = tail_cutoff(params, spec)
-    if params.sigma <= DD_SIGMA and real_weights:
-        def rung(m):
-            return _ratio_rung_dd(spec, params, cutoff, m)
+    if params.sigma <= DD_SIGMA and all(z.imag == 0.0 for z in weights):
+        ratio_rung = _ratio_rung_dd
     else:
-        kernel = TacnodeHKernel(params, spec, cutoff=cutoff)
-        den_domains = edge_components(params.sigma_tilde, cutoff,
-                                      label="edge")
-        den_kernel = AiryKernel(len(den_domains))
-
-        def rung(m):
-            return _ratio_rung_f64(kernel, den_kernel, den_domains, m)
-    res = ladder(rung, m0, tol)
+        ratio_rung = _ratio_rung_f64
+    res = ladder(lambda m: ratio_rung(kernel, den_kernel, den_domains, m),
+                 m0, tol)
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
-                     dd_div, dd_gauss_legendre, dd_heat_kernel, dd_mul,
-                     dd_mul_f, dd_neg, dd_roots_of_two, dd_sqr, dd_sub)
+                     dd_div, dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two,
+                     dd_sqr, dd_sub)
 from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
@@ -33,7 +33,7 @@ __all__ = [
     "PearceyParams", "PearceyKernel",
     "TacnodeParams", "GapSpec", "check_slots", "tacnode_block_entry",
     "TacnodeHKernel",
-    "tail_cutoff", "tacnode_h_matrix_dd", "airy_edge_matrix_dd",
+    "tail_cutoff",
     "ext_airy_matrix", "coupling_matrix", "AiryResolvent",
     "TacnodeDirectKernel", "FormalTacnodeKernel", "ConditionedKernel",
 ]
@@ -82,6 +82,23 @@ class AiryKernel(BlockKernel):
 
     def entry(self, i, j, x, y):
         return airy_kernel_matrix(np.real(x), np.real(y))
+
+    def entry_dd(self, i, j, x, y):
+        """Double-double difference quotient; on an i == j block x and y
+        are the same nodes and the diagonal takes the confluent form
+        Ai'(x)^2 - x Ai(x)^2 exactly."""
+        X = (x[0][:, None], x[1][:, None])
+        Y = (y[0][None, :], y[1][None, :])
+        ax, apx = dd_airy_pair(X)
+        ay, apy = dd_airy_pair(Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ker = dd_div(dd_sub(dd_mul(ax, apy), dd_mul(apx, ay)),
+                         dd_sub(X, Y))
+        if i == j:
+            diag = dd_sub(dd_sqr(apx), dd_mul(dd_mul(X, ax), ax))
+            np.fill_diagonal(ker[0], diag[0])
+            np.fill_diagonal(ker[1], diag[1])
+        return ker
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +338,16 @@ class TacnodeHKernel(BlockKernel):
     [sigma_tilde, cutoff] (split at 0 while sigma_tilde < 0), then one
     finite component per interval of the gap specification.  Interval
     columns carry the factor (1 - z); the edges carry weight 1.  The
-    cutoff defaults to :func:`tail_cutoff`.
+    cutoff is :func:`tail_cutoff`.  This layout serves both precisions:
+    :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
+    :func:`gapdet.fredholm.assemble_dd` reads :meth:`entry_dd`.
     """
 
-    def __init__(self, params, spec, cutoff=None):
+    def __init__(self, params, spec):
         check_slots(spec, params)
         self.params = params
         self.spec = spec
-        self.cutoff = float(cutoff) if cutoff is not None \
-            else tail_cutoff(params, spec)
+        self.cutoff = tail_cutoff(params, spec)
         self._roles = []
         self._weights = []
         self._domains = []
@@ -356,40 +374,22 @@ class TacnodeHKernel(BlockKernel):
         return tacnode_block_entry(self._roles[i], self._roles[j],
                                    np.real(x), np.real(y), self.params)
 
+    def entry_dd(self, i, j, x, y):
+        return _tacnode_entry_dd(self._roles[i], self._roles[j], x, y,
+                                 self.params)
+
     def weight(self, j):
         return self._weights[j]
 
 
 # ---------------------------------------------------------------------------
-# Double-double assembly of the same matrices
+# Double-double entries of the tacnode block kernel
 #
 # Past sigma ~ -5 the determinant pair that forms the gap ratio outruns
-# float64 (see the ddmath module docstring); these builders assemble
-# I - K W for the numerator and denominator in double-double on the same
-# truncated components as the float64 kernels above.
-
-def _dd_affine(rule, a, b):
-    """Map a (0,1) double-double rule onto [a, b]; a, b are scalar pairs."""
-    t, w = rule
-    span = dd_sub(b, a)
-    pts = dd_add(dd_mul(t, span), a)
-    wts = dd_mul(w, span)
-    return pts, wts
-
-
-def _dd_edge(rule, start, cutoff):
-    """Edge [start, cutoff] split at the origin, as in edge_components."""
-    zero = (0.0, 0.0)
-    end = (float(cutoff), 0.0)
-    if start[0] < 0.0:
-        return [_dd_affine(rule, start, zero), _dd_affine(rule, zero, end)]
-    return [_dd_affine(rule, start, end)]
-
-
-def _dd_sigma_tilde(sigma):
-    r23 = dd_roots_of_two()[2]
-    return dd_mul_f(r23, float(sigma))
-
+# float64 (see the ddmath module docstring).  :meth:`TacnodeHKernel.entry_dd`
+# and :meth:`AiryKernel.entry_dd` supply the entries for
+# :func:`gapdet.fredholm.assemble_dd`, which builds I - K W for the
+# numerator and denominator on the same components as the float64 kernels.
 
 def _tacnode_entry_dd(ri, rj, x, y, params):
     """Double-double twin of :func:`tacnode_block_entry`."""
@@ -426,83 +426,6 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
         return dd_neg(dd_heat_kernel(dt, X, Y))
     shape = (x[0].size, y[0].size)
     return np.zeros(shape), np.zeros(shape)
-
-
-def tacnode_h_matrix_dd(params, spec, m, cutoff=None):
-    """I - K W of the coupled tacnode block kernel in double-double.
-
-    Component layout matches :class:`TacnodeHKernel` with an m-point rule
-    per component.  Interval z-weights must be real; the double-double path
-    serves the deep-|sigma| regime where the scans use real weights.
-    """
-    check_slots(spec, params)
-    if cutoff is None:
-        cutoff = tail_cutoff(params, spec)
-    rule = dd_gauss_legendre(m)
-    sig_t = _dd_sigma_tilde(params.sigma)
-    comps = []
-    for pts, wts in _dd_edge(rule, (0.0, 0.0), cutoff):
-        comps.append((-1, pts, wts))
-    for pts, wts in _dd_edge(rule, sig_t, cutoff):
-        comps.append((0, pts, wts))
-    for tidx, a, b, z in spec.flat():
-        if np.iscomplexobj(z) and np.imag(z) != 0.0:
-            raise DomainError("double-double path requires real weights")
-        pts, wts = _dd_affine(rule, (float(a), 0.0), (float(b), 0.0))
-        wts = dd_mul_f(wts, 1.0 - float(np.real(z)))
-        comps.append((tidx + 1, pts, wts))
-    sizes = [c[1][0].size for c in comps]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offs[-1])
-    out_hi = np.zeros((n, n))
-    out_lo = np.zeros((n, n))
-    for i, (ri, xi, _) in enumerate(comps):
-        for j, (rj, yj, wj) in enumerate(comps):
-            ent = _tacnode_entry_dd(ri, rj, xi, yj, params)
-            blk = dd_neg(dd_mul(ent, (wj[0][None, :], wj[1][None, :])))
-            out_hi[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[0]
-            out_lo[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[1]
-    idx = np.arange(n)
-    dhi, dlo = dd_add_f((out_hi[idx, idx], out_lo[idx, idx]), 1.0)
-    out_hi[idx, idx] = dhi
-    out_lo[idx, idx] = dlo
-    return out_hi, out_lo
-
-
-def airy_edge_matrix_dd(sigma, m, cutoff):
-    """I - K W for the Airy kernel on [sigma_tilde(sigma), cutoff] in
-    double-double; the ratio denominator on the same rule family as the
-    numerator."""
-    rule = dd_gauss_legendre(m)
-    sig_t = _dd_sigma_tilde(sigma)
-    pieces = _dd_edge(rule, sig_t, cutoff)
-    pts = (np.concatenate([p[0][0] for p in pieces]),
-           np.concatenate([p[0][1] for p in pieces]))
-    wts = (np.concatenate([p[1][0] for p in pieces]),
-           np.concatenate([p[1][1] for p in pieces]))
-    ai, aip = dd_airy_pair(pts)
-    AX = (ai[0][:, None], ai[1][:, None])
-    AY = (ai[0][None, :], ai[1][None, :])
-    APX = (aip[0][:, None], aip[1][:, None])
-    APY = (aip[0][None, :], aip[1][None, :])
-    X = (pts[0][:, None], pts[1][:, None])
-    Y = (pts[0][None, :], pts[1][None, :])
-    num = dd_sub(dd_mul(AX, APY), dd_mul(APX, AY))
-    den = dd_sub(X, Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = dd_div(num, den)
-    diag = dd_sub(dd_sqr(aip), dd_mul(dd_mul(pts, ai), ai))
-    n = pts[0].size
-    idx = np.arange(n)
-    ker[0][idx, idx] = diag[0]
-    ker[1][idx, idx] = diag[1]
-    blk = dd_neg(dd_mul(ker, (wts[0][None, :], wts[1][None, :])))
-    out_hi = np.array(blk[0])
-    out_lo = np.array(blk[1])
-    dhi, dlo = dd_add_f((out_hi[idx, idx], out_lo[idx, idx]), 1.0)
-    out_hi[idx, idx] = dhi
-    out_lo[idx, idx] = dlo
-    return out_hi, out_lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: byte determinism, exit codes, table contents."""
 
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import os
 import pytest
 from numpy.testing import assert_allclose
 
-from gapdet.cli import main, pearcey_airy_endpoints, tacnode_pearcey_times
+from gapdet.cli import (_meta, build_parser, main, pearcey_airy_endpoints,
+                        tacnode_pearcey_times)
 from gapdet.errors import DomainError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "tw_grid.csv")
@@ -61,6 +63,29 @@ def test_meta_line_records_flags_but_not_out(capsys, tmp_path):
     assert meta == "# gapdet 0.1.0 tw --s-min -8 --s-max 4 --steps 12 " \
                    "--m0 40 --tol 1e-08"
     assert "--out" not in meta
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw"],
+    ["pearcey"],
+    ["tacnode", "--sigma", "0", "--force-sigma"],
+    ["scan-pearcey-airy"],
+    ["scan-tacnode-pearcey", "--force-sigma"],
+    ["scan-tacnode-airy", "--fixed", "0", "--one-sided", "--force-sigma"],
+    ["positivity-probe"],
+], ids=lambda argv: argv[0])
+def test_meta_names_every_registered_flag(argv):
+    # parsing only: every flag a subcommand registers reaches the meta
+    # line, except the output format and path
+    parser = build_parser()
+    args = parser.parse_args(argv + ["--json"])
+    subs = next(act for act in parser._actions
+                if isinstance(act, argparse._SubParsersAction))
+    flags = {opt for act in subs.choices[argv[0]]._actions
+             for opt in act.option_strings if opt.startswith("--")}
+    named = set(_meta(args).split())
+    assert flags - {"--json", "--out", "--help"} <= named
+    assert not named & {"--json", "--out", "--help"}
 
 
 # ---------------------------------------------------------------------------

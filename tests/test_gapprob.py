@@ -179,6 +179,15 @@ def test_tacnode_time_reflection_invariance():
     assert_allclose(a.real, 0.9403785387981144, rtol=0, atol=5e-13)
 
 
+def test_tacnode_complex_weight_stays_on_float64():
+    # the double-double route takes real weights only, so a complex weight
+    # below DD_SIGMA is computed in float64
+    res = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0, 0.5j)]]),
+                            TacnodeParams(-4.0, (0.0,)))
+    assert res.parts["route"] == "float64"
+    assert res.err_estimate <= 1e-8
+
+
 def test_tacnode_complex_weight_instability_is_reported():
     # complex weights must stay on the float64 path, and at sigma = -5 the
     # denominator has fallen below what float64 digits can support

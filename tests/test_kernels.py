@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gapdet.errors import DomainError, SingularRestrictionError
-from gapdet.fredholm import assemble
+from gapdet.fredholm import assemble, assemble_dd
 from gapdet.gapprob import tacnode_gap_direct
 from gapdet.kernels import (
     AiryKernel,
@@ -18,12 +18,10 @@ from gapdet.kernels import (
     TacnodeDirectKernel,
     TacnodeHKernel,
     TacnodeParams,
-    airy_edge_matrix_dd,
     airy_kernel_matrix,
     coupling_matrix,
     ext_airy_matrix,
     tacnode_block_entry,
-    tacnode_h_matrix_dd,
     tail_cutoff,
 )
 from gapdet.quadrature import (DomainComponent, edge_components,
@@ -254,31 +252,39 @@ def test_h_kernel_layout_and_weights():
         TacnodeHKernel(par, GapSpec([[], []]))
 
 
-def test_double_double_assembly_matches_float64():
-    # the high parts of the double-double matrices must agree with the
-    # float64 assembly of the same kernels on the same components
-    par = TacnodeParams(-1.0, (0.0,))
-    spec = GapSpec([[(-1.0, 1.0)]])
-    cut = tail_cutoff(par, spec)
-    ker = TacnodeHKernel(par, spec, cutoff=cut)
-    mat, _ = assemble(ker, ker.domains(), gauss_legendre(24))
-    hi, lo = tacnode_h_matrix_dd(par, spec, 24, cutoff=cut)
-    assert hi.shape == mat.shape
-    assert np.max(np.abs(mat.real - hi)) < 1e-13
-    assert np.max(np.abs(lo)) < 1e-15
+@pytest.mark.parametrize("times, per_time", [
+    ((0.0,), [[(-1.0, 1.0)]]),
+    ((-0.5, 0.5), [[(-1.0, 0.0, 0.3)], [(0.0, 1.0, 0.7)]]),
+], ids=["one-time", "two-times-weighted"])
+def test_double_double_assembly_matches_float64(times, per_time):
+    # one component layout, two precisions: the high parts of the
+    # double-double matrices must agree with the float64 assembly of the
+    # same kernels on the same components (heat-kernel blocks and (1 - z)
+    # column weights included), and so must the norm surrogates
+    par = TacnodeParams(-1.0, times)
+    ker = TacnodeHKernel(par, GapSpec(per_time))
+    den_doms = edge_components(par.sigma_tilde, ker.cutoff)
+    for kernel, doms in ((ker, ker.domains()),
+                         (AiryKernel(len(den_doms)), den_doms)):
+        mat, surrogate = assemble(kernel, doms, gauss_legendre(24))
+        hi, lo, surrogate_dd = assemble_dd(kernel, doms, 24)
+        assert hi.shape == mat.shape
+        assert np.max(np.abs(mat.real - hi)) < 1e-13
+        assert np.max(np.abs(lo)) < 1e-15
+        assert abs(surrogate_dd - surrogate) <= 1e-13 * surrogate
 
-    den_doms = edge_components(par.sigma_tilde, cut)
-    dmat, _ = assemble(AiryKernel(len(den_doms)), den_doms,
-                       gauss_legendre(24))
-    dhi, _ = airy_edge_matrix_dd(par.sigma, 24, cut)
-    assert np.max(np.abs(dmat.real - dhi)) < 1e-13
 
-
-def test_double_double_assembly_rejects_complex_weights():
-    par = TacnodeParams(-4.0, (0.0,))
-    spec = GapSpec([[(-1.0, 1.0, 0.5j)]])
+@pytest.mark.parametrize("case", ["complex-weight", "ray"])
+def test_double_double_assembly_rejects_complex_weights(case):
+    if case == "complex-weight":
+        kernel = TacnodeHKernel(TacnodeParams(-4.0, (0.0,)),
+                                GapSpec([[(-1.0, 1.0, 0.5j)]]))
+        doms = kernel.domains()
+    else:
+        # the F2 domain: a ray has no affine double-double map
+        kernel, doms = AiryKernel(1), [DomainComponent.ray(-2.0)]
     with pytest.raises(DomainError):
-        tacnode_h_matrix_dd(par, spec, 16)
+        assemble_dd(kernel, doms, 16)
 
 
 # ---------------------------------------------------------------------------
