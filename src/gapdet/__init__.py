@@ -25,10 +25,8 @@ from .gapprob import (
 )
 from .kernels import GapSpec, PearceyParams, TacnodeParams
 from .specfun import (
-    AiryPair,
     airy_ai,
     airy_ai_prime,
-    airy_pair,
     airy_shifted,
     heat_kernel,
     load_airy_golden,
@@ -45,10 +43,8 @@ __all__ = [
     "PearceyParams",
     "TacnodeParams",
     "GapSpec",
-    "AiryPair",
     "airy_ai",
     "airy_ai_prime",
-    "airy_pair",
     "airy_shifted",
     "heat_kernel",
     "pearcey_phase",

@@ -207,49 +207,6 @@ def dd_exp(x):
     return np.ldexp(e[0], ik), np.ldexp(e[1], ik)
 
 
-# --------------------------------------------------- scalar build helpers
-# The anchor march is inherently sequential, so it runs on plain Python
-# floats: the same error-free transforms, far faster than 0-d numpy
-# round trips.
-
-def _s_neg(x):
-    return -x[0], -x[1]
-
-
-def _s_add(x, y):
-    s = x[0] + y[0]
-    bb = s - x[0]
-    e = (x[0] - (s - bb)) + (y[0] - bb) + x[1] + y[1]
-    s2 = s + e
-    return s2, e - (s2 - s)
-
-
-def _s_mul(x, y):
-    p = x[0] * y[0]
-    t = _SPLITTER * x[0]
-    ah = t - (t - x[0])
-    al = x[0] - ah
-    t = _SPLITTER * y[0]
-    bh = t - (t - y[0])
-    bl = y[0] - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl \
-        + x[0] * y[1] + x[1] * y[0]
-    s2 = p + e
-    return s2, e - (s2 - p)
-
-
-def _s_div(x, y):
-    q1 = x[0] / y[0]
-    r = _s_add(x, _s_neg(_s_mul(y, (q1, 0.0))))
-    q2 = r[0] / y[0]
-    r = _s_add(r, _s_neg(_s_mul(y, (q2, 0.0))))
-    q3 = r[0] / y[0]
-    s = q1 + q2
-    e = q2 - (s - q1)
-    s2 = s + (e + q3)
-    return s2, (e + q3) - (s2 - s)
-
-
 def _asym_coeffs_dd(n):
     """u_k, v_k of the large-x expansions, as scalar double-doubles."""
     u = [(1.0, 0.0)]
@@ -257,8 +214,8 @@ def _asym_coeffs_dd(n):
     for k in range(1, n):
         num = float((6 * k - 5) * (6 * k - 3) * (6 * k - 1))
         den = float(216 * k * (2 * k - 1))
-        uk = _s_div(_s_mul(u[-1], (num, 0.0)), (den, 0.0))
-        vk = _s_div(_s_mul(uk, (-float(6 * k + 1), 0.0)),
+        uk = dd_div(dd_mul(u[-1], (num, 0.0)), (den, 0.0))
+        vk = dd_div(dd_mul(uk, (-float(6 * k + 1), 0.0)),
                     (float(6 * k - 1), 0.0))
         u.append(uk)
         v.append(vk)
@@ -279,26 +236,26 @@ def _seed_pair():
     comfortably below the double-double unit roundoff.
     """
     u, v = _asym_coeffs_dd(_SEED_TERMS)
-    zeta = _s_div((128.0, 0.0), (3.0, 0.0))
-    t = _s_neg(_s_div((1.0, 0.0), zeta))
+    zeta = dd_div((128.0, 0.0), (3.0, 0.0))
+    t = dd_neg(dd_div((1.0, 0.0), zeta))
     su = u[_SEED_TERMS - 1]
     sv = v[_SEED_TERMS - 1]
     for k in range(_SEED_TERMS - 2, -1, -1):
-        su = _s_add(_s_mul(su, t), u[k])
-        sv = _s_add(_s_mul(sv, t), v[k])
+        su = dd_add(dd_mul(su, t), u[k])
+        sv = dd_add(dd_mul(sv, t), v[k])
     # exp(-zeta) as exp(-42) * exp(-2/3): exp turns the absolute rounding
     # of its argument into relative error; 42 is exact and 2/3 rounds 64x
     # finer than 128/3
-    two_thirds = _s_div((2.0, 0.0), (3.0, 0.0))
+    two_thirds = dd_div((2.0, 0.0), (3.0, 0.0))
     e = dd_exp((np.array([-42.0, -two_thirds[0]]),
                 np.array([0.0, -two_thirds[1]])))
-    damp = _s_mul((float(e[0][0]), float(e[1][0])),
+    damp = dd_mul((float(e[0][0]), float(e[1][0])),
                   (float(e[0][1]), float(e[1][1])))
     root = (2.0, 0.0)                    # 16^(1/4)
-    den = _s_mul(_s_mul((2.0, 0.0), _sqrt_pi_s()), root)
-    ai = _s_div(_s_mul(su, damp), den)
-    aip = _s_neg(_s_div(_s_mul(_s_mul(sv, damp), root),
-                        _s_mul((2.0, 0.0), _sqrt_pi_s())))
+    den = dd_mul(dd_mul((2.0, 0.0), _sqrt_pi_s()), root)
+    ai = dd_div(dd_mul(su, damp), den)
+    aip = dd_neg(dd_div(dd_mul(dd_mul(sv, damp), root),
+                        dd_mul((2.0, 0.0), _sqrt_pi_s())))
     return ai, aip
 
 
@@ -348,13 +305,15 @@ def _anchor_table():
     a, p = _seed_pair()
     ys = np.empty((4, n_steps + 1))     # a_hi, a_lo, p_hi, p_lo per anchor
     for i in range(n_steps + 1):
+        # the march is sequential; plain-float pairs skip numpy's 0-d
+        # overhead at every step
         ys[:, i] = (*a, *p)
         va = (float(val[0][0, i]), float(val[1][0, i]))
         vp = (float(val[0][1, i]), float(val[1][1, i]))
         da = (float(der[0][0, i]), float(der[1][0, i]))
         dp = (float(der[0][1, i]), float(der[1][1, i]))
-        a, p = (_s_add(_s_mul(va, a), _s_mul(vp, p)),
-                _s_add(_s_mul(da, a), _s_mul(dp, p)))
+        a, p = (dd_add(dd_mul(va, a), dd_mul(vp, p)),
+                dd_add(dd_mul(da, a), dd_mul(dp, p)))
     fa = (hi[:_EVAL_ORDER, 0], lo[:_EVAL_ORDER, 0])
     fp = (hi[:_EVAL_ORDER, 1], lo[:_EVAL_ORDER, 1])
     c = dd_add(dd_mul(fa, (ys[0], ys[1])), dd_mul(fp, (ys[2], ys[3])))
@@ -459,8 +418,8 @@ def dd_roots_of_two():
     for num, den in ((1.0, 6.0), (1.0, 3.0), (2.0, 3.0)):
         # the fraction itself must be a double-double; a float64 exponent
         # error of ~1e-17 would survive into 2^frac
-        frac = _s_div((num, 0.0), (den, 0.0))
-        arg = _s_mul(DD_LN2, frac)
+        frac = dd_div((num, 0.0), (den, 0.0))
+        arg = dd_mul(DD_LN2, frac)
         e = dd_exp((np.asarray(arg[0]), np.asarray(arg[1])))
         out.append((float(e[0]), float(e[1])))
     return tuple(out)
@@ -475,8 +434,8 @@ def dd_airy_shifted(tau, x):
     inf.  Raises OverflowError when the value itself is unrepresentable.
     """
     two_sixth = dd_roots_of_two()[0]
-    tau2 = _s_mul(tau, tau)
-    c0 = _s_mul(_s_mul(tau2, tau), _s_div((2.0, 0.0), (3.0, 0.0)))
+    tau2 = dd_mul(tau, tau)
+    c0 = dd_mul(dd_mul(tau2, tau), dd_div((2.0, 0.0), (3.0, 0.0)))
     w = dd_add_f(dd_add_f(x, tau2[0]), tau2[1])
     pref = dd_add(dd_add(dd_mul_f(x, tau[0]), dd_mul_f(x, tau[1])), c0)
     out_hi = np.empty_like(x[0])
@@ -513,7 +472,7 @@ def dd_heat_kernel(dt, x1, x2):
     d = dd_sub(x1, x2)
     four_dt = (4.0 * dt[0], 4.0 * dt[1])
     arg = dd_neg(dd_div(dd_sqr(d), four_dt))
-    norm = _s_mul(four_dt, DD_PI)
+    norm = dd_mul(four_dt, DD_PI)
     rn = dd_sqrt((np.asarray(norm[0]), np.asarray(norm[1])))
     with np.errstate(under="ignore"):
         val = dd_exp(arg)
@@ -583,7 +542,7 @@ def dd_det(a_hi, a_lo):
             sign = -sign
         piv = (hi[k, k], lo[k, k])
         mp_, ep_ = np.frexp(piv[0])
-        mant = _s_mul(mant, (float(mp_), float(np.ldexp(piv[1], -int(ep_)))))
+        mant = dd_mul(mant, (float(mp_), float(np.ldexp(piv[1], -int(ep_)))))
         exp2 += int(ep_)
         mm, em = np.frexp(mant[0])
         mant = (float(mm), float(np.ldexp(mant[1], -int(em))))

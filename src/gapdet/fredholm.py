@@ -16,15 +16,14 @@ Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
-a single determinant; the tacnode routes in :mod:`gapdet.gapprob` run it on
+a single determinant; in :mod:`gapdet.gapprob` the Pearcey gap runs it on
+:meth:`gapdet.kernels.PearceyKernel.det_at` and the tacnode routes on
 determinant ratios.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .ddmath import dd_add, dd_add_f, dd_gauss_legendre, dd_mul, dd_mul_f, \
     dd_sub
@@ -173,26 +172,17 @@ def _locate_failure(kernel, i, j, xs, ys):
 
 
 def determinant(matrix):
-    """Determinant via dense LU with partial pivoting.
+    """Determinant via numpy's dense LU with partial pivoting.
 
-    A zero pivot, a matrix singular to working precision, is reported as an
-    exactly zero determinant.
+    A zero pivot, a matrix singular to working precision, gives an exactly
+    zero determinant.  A non-finite entry raises :class:`DomainError`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("determinant needs a square matrix")
-    if matrix.shape[0] == 0:
-        return 1.0 + 0.0j
-    with warnings.catch_warnings():
-        # a zero pivot is a handled outcome (det = 0), not a condition to
-        # warn about
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=True)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0.0 + 0.0j
-    nswaps = int(np.sum(piv != np.arange(len(piv))))
-    return complex((-1.0) ** nswaps * np.prod(diag))
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError("determinant needs a finite matrix")
+    return complex(np.linalg.det(matrix))
 
 
 def det_at(kernel, domains, m):

@@ -29,8 +29,8 @@ import numpy as np
 from .ddmath import dd_det, dd_div
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
 from .fredholm import BlockKernel, assemble_dd, det_at, fredholm_det, ladder
-from .kernels import (AiryKernel, AiryResolvent, PearceyKernel,
-                      TacnodeDirectKernel, TacnodeHKernel, check_slots)
+from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
+                      TacnodeHKernel, check_slots)
 from .quadrature import DomainComponent, edge_components
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
@@ -100,13 +100,20 @@ def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
     """Pearcey gap probability over the union encoded by ``params``.
 
     The determinant is assembled on the left hyperbola, the imaginary axis
-    and the right hyperbola.  tau in [0, 8] is the documented stable
-    window; outside it the kernel's own overflow guard fires.  With no
-    endpoints the axis-to-contour coupling vanishes and the value is 1.
+    and the right hyperbola, and factored through the axis block
+    (:meth:`gapdet.kernels.PearceyKernel.det_at`).  tau in [0, 8] is the
+    documented stable window; outside it the kernel's own overflow guard
+    fires.  With no endpoints the axis-to-contour coupling vanishes and
+    the value is 1.
     """
     ker = PearceyKernel(params)
     doms = PearceyKernel.domains(imag_variant=imag_variant)
-    res = fredholm_det(ker, doms, m0=m0, tol=tol)
+
+    def rung(m):
+        value, surrogate = ker.det_at(doms, m)
+        return value, {"norm_surrogate": surrogate}
+
+    res = ladder(rung, m0, tol, n_components=len(doms))
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 
@@ -211,24 +218,23 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
                        force_sigma=False):
     """Tacnode gap probability from the direct space-time kernel.
 
-    det(I - K restricted to the gap intervals), with K assembled from the
-    extended Airy kernel, the Gaussian transition and the Airy-resolvent
-    correction on [sigma_tilde, inf).  The resolvent is rebuilt at every
-    rung so its node count matches the outer rule.  This route exists to
-    cross-validate :func:`tacnode_gap_ratio`; it stays in float64, so it
-    loses accuracy at deep negative sigma where the resolvent becomes
-    singular, and it reports that honestly.
+    det(I - K restricted to the gap intervals), with K the formal extended
+    kernel conditioned on an empty edge [sigma_tilde, inf): the extended
+    Airy kernel, the Gaussian transition and the Airy-resolvent correction
+    (:class:`gapdet.kernels.TacnodeDirectKernel`).  The kernel is rebuilt
+    at every rung so the edge's node count matches the outer rule.  This
+    route exists to cross-validate :func:`tacnode_gap_ratio`; it stays in
+    float64, so it loses accuracy at deep negative sigma where the edge
+    restriction becomes singular, and it reports that honestly.
     """
     _check_sigma_window(params, force_sigma)
     check_slots(spec, params)
 
     def rung(m):
-        resolvent = AiryResolvent(params.sigma_tilde, m)
-        kernel = TacnodeDirectKernel(params, spec, resolvent,
-                                     m_inner=m_inner)
+        kernel = TacnodeDirectKernel(params, spec, m, m_inner=m_inner)
         val, surrogate = det_at(kernel, kernel.domains(), m)
         return val, {"route": "direct", "norm_surrogate": surrogate,
-                     "resolvent_rcond": resolvent.rcond}
+                     "resolvent_rcond": kernel.conditioned.rcond}
 
     res = ladder(rung, m0, tol)
     if all(z == 0.0 for _, _, _, z in spec.flat()):

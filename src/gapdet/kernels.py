@@ -5,8 +5,8 @@ Three families live here:
 * the Airy kernel and its Fredholm restriction blocks;
 * the Pearcey kernel on the two hyperbola branches plus the imaginary axis;
 * the tacnode blocks: the coupled block kernel whose determinant ratio gives
-  the tacnode gap probability, and the direct space-time kernel assembled
-  from the extended Airy kernel, a Gaussian part and an Airy-resolvent term.
+  the tacnode gap probability, and the direct space-time kernel, which is
+  the formal extended kernel conditioned on an empty Airy edge.
 
 Kernel classes subclass :class:`gapdet.fredholm.BlockKernel` and evaluate
 whole matrices at once, as do the module-level building blocks they are
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
                      dd_div, dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two,
                      dd_sqr, dd_sub)
 from .errors import DomainError, SingularRestrictionError
-from .fredholm import BlockKernel
+from .fredholm import BlockKernel, assemble, determinant
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
                          map_ray)
 from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
@@ -34,8 +33,8 @@ __all__ = [
     "TacnodeParams", "GapSpec", "check_slots", "tacnode_block_entry",
     "TacnodeHKernel",
     "tail_cutoff",
-    "ext_airy_matrix", "coupling_matrix", "AiryResolvent",
-    "TacnodeDirectKernel", "FormalTacnodeKernel", "ConditionedKernel",
+    "ext_airy_matrix", "coupling_matrix",
+    "FormalTacnodeKernel", "ConditionedKernel", "TacnodeDirectKernel",
 ]
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -173,6 +172,21 @@ class PearceyKernel(BlockKernel):
         return [DomainComponent.contour_left(),
                 DomainComponent.contour_imag(variant=imag_variant),
                 DomainComponent.contour_right()]
+
+    def det_at(self, domains, m):
+        """det(I - K W) at m nodes per component, with the surrogate of
+        :func:`gapdet.fredholm.assemble`.
+
+        Only a branch couples to the axis, so every diagonal block of
+        I - K W is the identity and the branches do not see each other.
+        Eliminating both branch blocks exactly leaves the axis block's
+        Schur complement, a third of the matrix's order, for the LU.
+        """
+        mat, surrogate = assemble(self, domains, gauss_legendre(m))
+        left, axis, right = (slice(k * m, (k + 1) * m) for k in range(3))
+        schur = (mat[axis, axis] - mat[axis, left] @ mat[left, axis]
+                 - mat[axis, right] @ mat[right, axis])
+        return determinant(schur), surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +344,41 @@ def tail_cutoff(params, spec):
     return max(16.0, float(x))
 
 
-class TacnodeHKernel(BlockKernel):
+def _gap_layout(spec):
+    """(role, column weight, component) per interval of ``spec``.
+
+    The role of an interval at time index k is k + 1, its columns carry the
+    factor 1 - z and its component is labelled E[k + 1].  Both tacnode
+    kernels lay the gap set out this way.
+    """
+    return [(tidx + 1, 1.0 - z,
+             DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
+            for tidx, a, b, z in spec.flat()]
+
+
+class _LayoutKernel(BlockKernel):
+    """Block kernel over a fixed list of (role, column weight, component)."""
+
+    def __init__(self, layout):
+        self._roles = [role for role, _, _ in layout]
+        self._weights = [w for _, w, _ in layout]
+        self._domains = [comp for _, _, comp in layout]
+        self.n_blocks = len(layout)
+
+    def domains(self):
+        return list(self._domains)
+
+    def weight(self, j):
+        return self._weights[j]
+
+
+class TacnodeHKernel(_LayoutKernel):
     """Coupled block kernel whose weighted determinant is the tacnode
     numerator.
 
     Components, in order: the edge [0, cutoff], the edge
-    [sigma_tilde, cutoff] (split at 0 while sigma_tilde < 0), then one
-    finite component per interval of the gap specification.  Interval
-    columns carry the factor (1 - z); the edges carry weight 1.  The
+    [sigma_tilde, cutoff] (split at 0 while sigma_tilde < 0), then the gap
+    components of :func:`_gap_layout`.  The edges carry weight 1.  The
     cutoff is :func:`tail_cutoff`.  This layout serves both precisions:
     :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
     :func:`gapdet.fredholm.assemble_dd` reads :meth:`entry_dd`.
@@ -348,27 +389,13 @@ class TacnodeHKernel(BlockKernel):
         self.params = params
         self.spec = spec
         self.cutoff = tail_cutoff(params, spec)
-        self._roles = []
-        self._weights = []
-        self._domains = []
-        for comp in edge_components(0.0, self.cutoff, label="R+"):
-            self._roles.append(-1)
-            self._weights.append(1.0)
-            self._domains.append(comp)
-        for comp in edge_components(params.sigma_tilde, self.cutoff,
-                                    label="edge"):
-            self._roles.append(0)
-            self._weights.append(1.0)
-            self._domains.append(comp)
-        for tidx, a, b, z in spec.flat():
-            self._roles.append(tidx + 1)
-            self._weights.append(1.0 - z)
-            self._domains.append(
-                DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
-        self.n_blocks = len(self._roles)
-
-    def domains(self):
-        return list(self._domains)
+        super().__init__(
+            [(-1, 1.0, comp)
+             for comp in edge_components(0.0, self.cutoff, label="R+")]
+            + [(0, 1.0, comp)
+               for comp in edge_components(params.sigma_tilde, self.cutoff,
+                                           label="edge")]
+            + _gap_layout(spec))
 
     def entry(self, i, j, x, y):
         return tacnode_block_entry(self._roles[i], self._roles[j],
@@ -377,9 +404,6 @@ class TacnodeHKernel(BlockKernel):
     def entry_dd(self, i, j, x, y):
         return _tacnode_entry_dd(self._roles[i], self._roles[j], x, y,
                                  self.params)
-
-    def weight(self, j):
-        return self._weights[j]
 
 
 # ---------------------------------------------------------------------------
@@ -476,100 +500,7 @@ def coupling_matrix(tau, xi, u, m_inner):
 
 
 # ---------------------------------------------------------------------------
-# Airy resolvent on [start, inf) and the direct tacnode kernel
-
-def _factor_restriction(kmat, colw, what):
-    """LU factors of I - K diag(colw) and their 1-norm rcond estimate.
-
-    Raises :class:`SingularRestrictionError`, led by ``what``, when LAPACK
-    reports a failure or rcond falls below 1e-13.
-    """
-    mat = -kmat * colw[None, :]
-    mat[np.diag_indices(len(colw))] += 1.0
-    anorm = scipy.linalg.norm(mat, 1)
-    lu = scipy.linalg.lu_factor(mat)
-    rcond, info = scipy.linalg.lapack.dgecon(lu[0], anorm)
-    if info != 0 or rcond < 1e-13:
-        raise SingularRestrictionError("%s (rcond %.3e)" % (what, rcond),
-                                       rcond=rcond)
-    return lu, float(rcond)
-
-
-class AiryResolvent:
-    """LU-factorized discretization of (I - K_Ai) on a ray [start, inf).
-
-    Solves (I - K)g = f at the ray nodes and forms weighted inner products
-    against a second sample vector, which is how the direct tacnode kernel
-    consumes it.
-    """
-
-    def __init__(self, start, m, scale=4.0):
-        rule = gauss_legendre(m)
-        u, du = map_ray(rule.nodes, start, scale)
-        self.start = float(start)
-        self.m = int(m)
-        self.nodes = u
-        self.colw = rule.weights * du
-        self._lu, self.rcond = _factor_restriction(
-            airy_kernel_matrix(u, u), self.colw,
-            "airy restriction on [%g, inf) is singular to working "
-            "precision" % start)
-
-    def solve(self, rhs):
-        """(I - K)^(-1) applied to columns of rhs sampled at the nodes."""
-        return scipy.linalg.lu_solve(self._lu, rhs)
-
-    def term_matrix(self, a, b):
-        """Weighted inner products <(I-K)^(-1) a_i, b_j> over the ray.
-
-        ``a`` and ``b`` have one row per outer point and one column per ray
-        node.
-        """
-        g = self.solve(a.T).T
-        return (g * self.colw[None, :]) @ b.T
-
-
-class TacnodeDirectKernel(BlockKernel):
-    """Direct tacnode kernel over the finite gap components."""
-
-    def __init__(self, params, spec, resolvent, m_inner=80):
-        check_slots(spec, params)
-        _inner_rule(m_inner)            # rejects a too-coarse inner rule now
-        self.params = params
-        self.spec = spec
-        self.resolvent = resolvent
-        self.m_inner = m_inner
-        self._times = []
-        self._weights = []
-        self._domains = []
-        for tidx, a, b, z in spec.flat():
-            self._times.append(params.times[tidx])
-            self._weights.append(1.0 - z)
-            self._domains.append(
-                DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
-        self.n_blocks = len(self._times)
-
-    def domains(self):
-        return list(self._domains)
-
-    def weight(self, j):
-        return self._weights[j]
-
-    def entry(self, i, j, x, y):
-        sig = self.params.sigma
-        ti, tj = self._times[i], self._times[j]
-        x = np.real(np.asarray(x))
-        y = np.real(np.asarray(y))
-        k0 = ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
-        if ti > tj:
-            k0 = k0 - heat_kernel(ti - tj, x[:, None], y[None, :])
-        a = coupling_matrix(ti, x - sig, self.resolvent.nodes, self.m_inner)
-        b = coupling_matrix(-tj, y - sig, self.resolvent.nodes, self.m_inner)
-        return k0 + self.resolvent.term_matrix(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Formal extended kernel (positivity probe) and conditioned kernels
+# Formal extended kernel, conditioned kernels and the direct tacnode kernel
 
 class FormalTacnodeKernel(BlockKernel):
     """Block kernel of the formal extended process behind the tacnode ratio.
@@ -606,6 +537,26 @@ class FormalTacnodeKernel(BlockKernel):
         return out
 
 
+def _factor_restriction(kmat, colw, what):
+    """Inverse of A = I - K diag(colw) and its reciprocal condition number
+    1 / (||A||_1 ||A^-1||_1), computed exactly from the inverse.
+
+    Raises :class:`SingularRestrictionError`, led by ``what``, when A is
+    exactly singular or the reciprocal condition number is below 1e-13.
+    """
+    mat = -kmat * colw[None, :]
+    mat[np.diag_indices(len(colw))] += 1.0
+    try:
+        inv = np.linalg.inv(mat)
+        rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1))
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    if not rcond >= 1e-13:
+        raise SingularRestrictionError("%s (rcond %.3e)" % (what, rcond),
+                                       rcond=rcond)
+    return inv, float(rcond)
+
+
 class ConditionedKernel:
     """Kernel of a determinantal process conditioned on an empty region.
 
@@ -622,10 +573,11 @@ class ConditionedKernel:
         pts, dp = a_component.map_points(rule.nodes)
         self.nodes = np.asarray(pts)
         self.colw = rule.weights * dp
-        self._lu, self.rcond = _factor_restriction(
+        self._inv, self.rcond = _factor_restriction(
             np.asarray(base.entry(a_block, a_block, self.nodes, self.nodes),
                        dtype=float), self.colw,
-            "conditioning region has vanishing free probability")
+            "conditioning region %s has vanishing free probability"
+            % a_component.label)
 
     def value_matrix(self, b1, y1, b2, y2):
         y1 = np.atleast_1d(np.asarray(y1, dtype=float))
@@ -633,8 +585,30 @@ class ConditionedKernel:
         bare = self.base.entry(b1, b2, y1, y2)
         u = self.base.entry(b1, self.a_block, y1, self.nodes)
         v = self.base.entry(self.a_block, b2, self.nodes, y2)
-        g = scipy.linalg.lu_solve(self._lu, np.asarray(v, dtype=float))
+        g = self._inv @ np.asarray(v, dtype=float)
         return bare + (np.asarray(u) * self.colw[None, :]) @ g
 
     def value(self, b1, y1, b2, y2):
         return float(self.value_matrix(b1, [y1], b2, [y2])[0, 0])
+
+
+class TacnodeDirectKernel(_LayoutKernel):
+    """Direct tacnode kernel over the gap components of :func:`_gap_layout`.
+
+    It is :class:`FormalTacnodeKernel` conditioned on an empty auxiliary
+    edge [sigma_tilde, inf), discretized with the m-point ray rule; a gap
+    component of role k reads the kernel's time block k.
+    """
+
+    def __init__(self, params, spec, m, m_inner=80):
+        check_slots(spec, params)
+        super().__init__(_gap_layout(spec))
+        self.params = params
+        self.spec = spec
+        self.conditioned = ConditionedKernel(
+            FormalTacnodeKernel(params, m_inner),
+            DomainComponent.ray(params.sigma_tilde), gauss_legendre(m))
+
+    def entry(self, i, j, x, y):
+        return self.conditioned.value_matrix(self._roles[i], np.real(x),
+                                             self._roles[j], np.real(y))

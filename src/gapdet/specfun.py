@@ -17,7 +17,6 @@ library is used at runtime.  Two regimes cover the window:
 Accuracy window: x >= -30.  Arguments below -30 raise :class:`DomainError`.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,10 +25,8 @@ from .ddmath import _ANCHOR_STEP, _ANCHOR_TOP, _WINDOW_MIN, _anchor_table
 from .errors import DomainError
 
 __all__ = [
-    "AiryPair",
     "airy_ai",
     "airy_ai_prime",
-    "airy_pair",
     "airy_shifted",
     "heat_kernel",
     "pearcey_phase",
@@ -44,14 +41,6 @@ AIRY_WINDOW_MIN = _WINDOW_MIN
 
 _SQRT_PI = np.sqrt(np.pi)
 _TWO_SIXTH = 2.0 ** (1.0 / 6.0)
-
-
-@dataclass(frozen=True)
-class AiryPair:
-    """Value and first derivative of Ai at a common point."""
-
-    ai: float
-    ai_prime: float
 
 
 def _asym_coeffs(n):
@@ -148,12 +137,6 @@ def airy_ai_prime(x):
     arr = np.asarray(x, dtype=float)
     _, aip = _airy_eval(arr)
     return float(aip) if np.isscalar(x) or arr.ndim == 0 else aip
-
-
-def airy_pair(x):
-    """Both Ai(x) and Ai'(x) from a single branch dispatch."""
-    ai, aip = _airy_eval(np.asarray(x, dtype=float))
-    return AiryPair(float(ai), float(aip))
 
 
 def airy_shifted(tau, x):

@@ -18,7 +18,8 @@ from gapdet.gapprob import (DD_SIGMA, SIGMA_WINDOW, _check_probability,
                             airy_gap, generating_function, pearcey_gap,
                             tacnode_gap_direct, tacnode_gap_ratio,
                             tracy_widom_F2)
-from gapdet.kernels import AiryKernel, GapSpec, PearceyParams, TacnodeParams
+from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
+                            TacnodeParams)
 from gapdet.quadrature import DomainComponent
 
 
@@ -92,6 +93,18 @@ def test_pearcey_pinned_values():
     assert_allclose(res.real, 0.9459049569839296, rtol=0, atol=5e-13)
     assert res.imag_residual <= 1e-8
     assert res.err_estimate <= 1e-8
+
+
+def test_pearcey_branch_elimination_matches_full_determinant():
+    # pearcey_gap factors the axis block's Schur complement; the full
+    # three-component determinant on the same rules is the reference
+    params = PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0))
+    full = fredholm_det(PearceyKernel(params), PearceyKernel.domains(),
+                        m0=60)
+    res = pearcey_gap(params)
+    assert res.m_used == full.m_used
+    assert abs(res.value - full.value) <= 1e-13
+    assert abs(res.err_estimate - full.err_estimate) <= 1e-13
 
 
 def test_pearcey_no_endpoints_gives_one():

@@ -9,7 +9,6 @@ from gapdet.fredholm import assemble, assemble_dd
 from gapdet.gapprob import tacnode_gap_direct
 from gapdet.kernels import (
     AiryKernel,
-    AiryResolvent,
     ConditionedKernel,
     FormalTacnodeKernel,
     GapSpec,
@@ -332,25 +331,29 @@ def test_coupling_decays_along_the_ray():
 
 
 def test_resolvent_solves_identity_like_system():
-    res = AiryResolvent(0.0, 60)
-    assert res.rcond > 1e-6
-    rhs = np.exp(-res.nodes)
-    sol = res.solve(rhs)
-    mat = -airy_kernel_matrix(res.nodes, res.nodes) * res.colw[None, :]
+    # on the region's own nodes the conditioned kernel L is the resolvent
+    # image of K: (I - K W) L = K
+    ck = ConditionedKernel(AiryKernel(1), DomainComponent.ray(0.0),
+                           gauss_legendre(60))
+    assert ck.rcond > 1e-6
+    kmat = airy_kernel_matrix(ck.nodes, ck.nodes)
+    mat = -kmat * ck.colw[None, :]
     mat[np.diag_indices(60)] += 1.0
-    assert_allclose(mat @ sol, rhs, rtol=0, atol=1e-12)
+    got = mat @ ck.value_matrix(0, ck.nodes, 0, ck.nodes)
+    assert_allclose(got, kmat, rtol=0, atol=1e-12)
 
 
 def test_resolvent_singular_far_left():
-    # [start, inf) with start deep in the bulk: (I - K) loses invertibility
+    # an edge [sigma_tilde, inf) starting deep in the bulk, at -13.5: the
+    # restriction of I - K loses invertibility
+    par = TacnodeParams(-13.5 / 2.0 ** (2.0 / 3.0), (0.0,))
     with pytest.raises(SingularRestrictionError):
-        AiryResolvent(-13.5, 80)
+        TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 80)
 
 
 def test_direct_kernel_correction_vanishes_for_large_sigma():
     par = TacnodeParams(6.0, (0.0,))
-    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]),
-                              AiryResolvent(par.sigma_tilde, 80))
+    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 80)
     xi = np.array([0.3])
     full = ker.entry(0, 0, xi, xi)
     bare = converged_inner(ext_airy_matrix, 0.0, 0.0, par.sigma - xi,
@@ -360,8 +363,7 @@ def test_direct_kernel_correction_vanishes_for_large_sigma():
 
 def test_direct_kernel_symmetric_at_equal_times():
     par = TacnodeParams(0.0, (0.0,))
-    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]),
-                              AiryResolvent(par.sigma_tilde, 40))
+    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 40)
     x = np.array([0.4, -0.6])
     got = ker.entry(0, 0, x, x)
     assert_allclose(got[0, 1], got[1, 0], rtol=1e-12)

@@ -12,7 +12,6 @@ from gapdet.specfun import (
     AIRY_WINDOW_MIN,
     airy_ai,
     airy_ai_prime,
-    airy_pair,
     airy_shifted,
     heat_kernel,
     load_airy_golden,
@@ -44,12 +43,6 @@ def test_airy_matches_golden_table():
     pos = (x > 0.0) & (x < 16.0)
     assert_allclose(airy_ai(x[pos]), ai[pos], rtol=1e-14, atol=0)
     assert_allclose(airy_ai_prime(x[pos]), aip[pos], rtol=1e-14, atol=0)
-
-
-def test_airy_pair_consistent_with_scalars():
-    p = airy_pair(-2.7)
-    assert p.ai == airy_ai(-2.7)
-    assert p.ai_prime == airy_ai_prime(-2.7)
 
 
 def test_airy_vectorized_matches_scalar():
