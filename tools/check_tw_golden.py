@@ -13,14 +13,26 @@ isolates the float64 rounding of the code (Airy evaluation, assembly, LU)
 from its quadrature error, which both sides share.  The script prints the
 relative error of the committed value ("old") and of the value the current
 code writes ("new") against that reference, and accepts a row only when
-new <= max(old, 1e-14).  ``--write`` replaces the committed table, and
-only when every row is accepted; the exit status is 1 otherwise.
+
+    new <= max(old, 1e-14) + 4 eps |ln F2|,      eps = 2**-52.
+
+The last term is a rounding allowance.  A determinant's last step folds
+its n pivots into one number, as a product or as exp of a sum of logs; the
+rounding of that step alone is a few ulp of |ln F2| in relative terms, and
+a change of it moves a row's error by that much without making the LU any
+less accurate.  Deep rows need it: at s = -7 the value's error is 2.3e-11
+(LU rounding amplified by conditioning), and folding the same pivots the
+other way moves it by 4e-15, against an allowance of 2.6e-14.  Any real
+loss of accuracy is orders of magnitude larger.  ``--write`` replaces the
+committed table, and only when every row is accepted; the exit status is 1
+otherwise.
 
 Needs mpmath.  It runs offline, takes under a minute, and is not part of
 the test suite.
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -35,6 +47,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "tests", "golden", "tw_grid.csv")
 DPS = 34
 FLOOR = 1e-14
+ULPS = 4
+EPS = 2.0 ** -52
 
 
 def read_table(text):
@@ -86,18 +100,20 @@ def main(argv=None):
     if old_meta != new_meta or sorted(old) != sorted(new):
         sys.exit("the regenerated table answers a different query")
 
-    print("%5s %4s %-24s %10s %10s  %s"
-          % ("s", "m", "mpmath reference", "old rel", "new rel", "verdict"))
+    print("%5s %4s %-24s %11s %11s %8s  %s"
+          % ("s", "m", "mpmath reference", "old rel", "new rel", "allow",
+             "verdict"))
     accepted = True
     for s in sorted(old):
         m = tracy_widom_F2(s).m_used[0]
         ref = reference_f2(s, m)
         e_old = float(abs((old[s] - ref) / ref))
         e_new = float(abs((new[s] - ref) / ref))
-        ok = e_new <= max(e_old, FLOOR)
+        allowance = ULPS * EPS * abs(math.log(new[s]))
+        ok = e_new <= max(e_old, FLOOR) + allowance
         accepted &= ok
-        print("%5g %4d %-24s %10.2e %10.2e  %s"
-              % (s, m, mp.nstr(ref, 17), e_old, e_new,
+        print("%5g %4d %-24s %11.4e %11.4e %8.1e  %s"
+              % (s, m, mp.nstr(ref, 17), e_old, e_new, allowance,
                  "ok" if ok else "WORSE"))
     if not accepted:
         print("rejected: some rows got worse; the table is left as it is")
