@@ -16,8 +16,7 @@ Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
-a single determinant; in :mod:`gapdet.gapprob` the Pearcey gap runs it on
-:meth:`gapdet.kernels.PearceyKernel.det_at` and the tacnode routes on
+a single determinant; the tacnode routes in :mod:`gapdet.gapprob` run it on
 determinant ratios.
 """
 
@@ -43,7 +42,9 @@ class BlockKernel:
     optional scalar factor applied to all columns of component j (used for
     generating-function weights); the default is 1.  Kernels that also
     assemble in double-double implement ``entry_dd(i, j, x, y)``, the same
-    matrix with (hi, lo) pairs in and out.
+    matrix with (hi, lo) pairs in and out.  ``condense(matrix)`` may
+    replace the assembled float64 matrix by a smaller one with the same
+    determinant before the LU; the default keeps it.
     """
 
     n_blocks = 1
@@ -57,13 +58,18 @@ class BlockKernel:
     def weight(self, j):
         return 1.0
 
+    def condense(self, matrix):
+        return matrix
+
 
 @dataclass(frozen=True)
 class DetResult:
     """Converged value of one :func:`ladder` plus convergence diagnostics.
 
     ``err_estimate`` is the Cauchy difference between the last two rungs,
-    ``m_used`` the node count of the final rung per domain component, and
+    floored at one ulp of the value: two rungs that round to the same float
+    confirm it only to its last bit.  ``m_used`` is the node count of the
+    final rung per domain component, and
     ``norm_surrogate`` the final rung's max row sum of the weighted kernel
     matrix (an operator-norm stand-in used by sanity checks).  ``parts``
     holds whatever else the final rung reported.
@@ -189,7 +195,7 @@ def det_at(kernel, domains, m):
     """Discretized det(I - K) at a fixed per-component node count."""
     rule = gauss_legendre(m)
     mat, surrogate = assemble(kernel, domains, rule)
-    return determinant(mat), surrogate
+    return determinant(kernel.condense(mat)), surrogate
 
 
 def ladder(rung, m0, tol, n_components=1):
@@ -199,24 +205,30 @@ def ladder(rung, m0, tol, n_components=1):
     returns ``(value, parts)``, where ``parts`` is a dict holding at least
     ``norm_surrogate``.  The ladder runs m0 and 2*m0, and 4*m0 once if
     needed; it raises :class:`NonConvergenceError`, carrying the last two
-    values, when even 4*m0 leaves the difference above tol.  The
+    values, when even 4*m0 leaves the estimate above tol.  The estimate is
+    the difference of the last two rungs, floored at one ulp of the last
+    value, so a tolerance below that is never met.  The
     :class:`DetResult` takes its value, surrogate and remaining parts from
     the final rung and reports ``(m,) * n_components`` as ``m_used``.
     """
     if m0 < 10:
         raise DomainError("m0 must be at least 10, got %d" % m0)
+
+    def estimate(prev, curr):
+        return max(abs(curr - prev), float(np.spacing(abs(curr))))
+
     prev, _ = rung(m0)
     m = 2 * m0
     curr, parts = rung(m)
-    err = abs(curr - prev)
+    err = estimate(prev, curr)
     if err > tol:
         prev = curr
         m = 4 * m0
         curr, parts = rung(m)
-        err = abs(curr - prev)
+        err = estimate(prev, curr)
         if err > tol:
             raise NonConvergenceError(
-                "not converged: |v(%d) - v(%d)| = %.3e > %.3e"
+                "not converged: err(v(%d), v(%d)) = %.3e > %.3e"
                 % (m, m // 2, err, tol),
                 values=(prev, curr), err_estimate=err)
     value = complex(curr)

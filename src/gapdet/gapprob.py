@@ -101,19 +101,14 @@ def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
 
     The determinant is assembled on the left hyperbola, the imaginary axis
     and the right hyperbola, and factored through the axis block
-    (:meth:`gapdet.kernels.PearceyKernel.det_at`).  tau in [0, 8] is the
+    (:meth:`gapdet.kernels.PearceyKernel.condense`).  tau in [0, 8] is the
     documented stable window; outside it the kernel's own overflow guard
     fires.  With no endpoints the axis-to-contour coupling vanishes and
     the value is 1.
     """
     ker = PearceyKernel(params)
     doms = PearceyKernel.domains(imag_variant=imag_variant)
-
-    def rung(m):
-        value, surrogate = ker.det_at(doms, m)
-        return value, {"norm_surrogate": surrogate}
-
-    res = ladder(rung, m0, tol, n_components=len(doms))
+    res = fredholm_det(ker, doms, m0=m0, tol=tol)
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 

@@ -22,7 +22,7 @@ from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
                      dd_div, dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two,
                      dd_sqr, dd_sub)
 from .errors import DomainError, SingularRestrictionError
-from .fredholm import BlockKernel, assemble, determinant
+from .fredholm import BlockKernel
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
                          map_ray)
 from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
@@ -173,20 +173,18 @@ class PearceyKernel(BlockKernel):
                 DomainComponent.contour_imag(variant=imag_variant),
                 DomainComponent.contour_right()]
 
-    def det_at(self, domains, m):
-        """det(I - K W) at m nodes per component, with the surrogate of
-        :func:`gapdet.fredholm.assemble`.
+    def condense(self, matrix):
+        """The axis block's Schur complement of I - K W.
 
         Only a branch couples to the axis, so every diagonal block of
         I - K W is the identity and the branches do not see each other.
-        Eliminating both branch blocks exactly leaves the axis block's
-        Schur complement, a third of the matrix's order, for the LU.
+        Eliminating both branch blocks exactly leaves a third of the order
+        with the same determinant.
         """
-        mat, surrogate = assemble(self, domains, gauss_legendre(m))
+        m = len(matrix) // 3
         left, axis, right = (slice(k * m, (k + 1) * m) for k in range(3))
-        schur = (mat[axis, axis] - mat[axis, left] @ mat[left, axis]
-                 - mat[axis, right] @ mat[right, axis])
-        return determinant(schur), surrogate
+        return (matrix[axis, axis] - matrix[axis, left] @ matrix[left, axis]
+                - matrix[axis, right] @ matrix[right, axis])
 
 
 # ---------------------------------------------------------------------------

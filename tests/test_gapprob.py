@@ -13,14 +13,15 @@ from numpy.testing import assert_allclose
 
 from gapdet.errors import (DivisionInstabilityError, DomainError,
                            SanityCheckError)
-from gapdet.fredholm import DetResult, fredholm_det
+from gapdet.fredholm import (DetResult, assemble, det_at, determinant,
+                             fredholm_det)
 from gapdet.gapprob import (DD_SIGMA, SIGMA_WINDOW, _check_probability,
                             airy_gap, generating_function, pearcey_gap,
                             tacnode_gap_direct, tacnode_gap_ratio,
                             tracy_widom_F2)
 from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
                             TacnodeParams)
-from gapdet.quadrature import DomainComponent
+from gapdet.quadrature import DomainComponent, gauss_legendre
 
 
 def det_result(value, imag_residual=0.0):
@@ -96,15 +97,13 @@ def test_pearcey_pinned_values():
 
 
 def test_pearcey_branch_elimination_matches_full_determinant():
-    # pearcey_gap factors the axis block's Schur complement; the full
-    # three-component determinant on the same rules is the reference
-    params = PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0))
-    full = fredholm_det(PearceyKernel(params), PearceyKernel.domains(),
-                        m0=60)
-    res = pearcey_gap(params)
-    assert res.m_used == full.m_used
-    assert abs(res.value - full.value) <= 1e-13
-    assert abs(res.err_estimate - full.err_estimate) <= 1e-13
+    # a Pearcey rung factors the axis block's Schur complement; the LU of
+    # the full three-component matrix on the same rule is the reference
+    ker = PearceyKernel(PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0)))
+    doms = PearceyKernel.domains()
+    for m in (60, 120):
+        full = determinant(assemble(ker, doms, gauss_legendre(m))[0])
+        assert abs(det_at(ker, doms, m)[0] - full) <= 1e-13
 
 
 def test_pearcey_no_endpoints_gives_one():
