@@ -106,7 +106,8 @@ def assemble(kernel, domains, rule):
     sizes = [len(p) for p in pts]
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = int(offs[-1])
-    mat = np.zeros((n, n), dtype=complex)
+    # -K W is written in place, block by block, and I added last
+    out = np.empty((n, n), dtype=complex)
     for i in range(len(domains)):
         for j in range(len(domains)):
             try:
@@ -116,10 +117,9 @@ def assemble(kernel, domains, rule):
                 raise KernelEvaluationError(
                     "kernel block (%d, %d) failed: %s" % (i, j, exc),
                     block_row=i, block_col=j, x=x_bad, y=y_bad) from exc
-            mat[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                np.asarray(block, dtype=complex) * colw[j][None, :]
-    surrogate = float(np.max(np.sum(np.abs(mat), axis=1))) if n else 0.0
-    out = -mat
+            np.multiply(np.asarray(block, dtype=complex), -colw[j][None, :],
+                        out=out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]])
+    surrogate = float(np.max(np.sum(np.abs(out), axis=1))) if n else 0.0
     out[np.diag_indices(n)] += 1.0
     return out, surrogate
 

@@ -23,6 +23,7 @@ and the route only picks which of the two rung functions runs.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -47,6 +48,12 @@ DD_SIGMA = -3.0
 _DEN_FLOOR = 1e-12
 _IMAG_TOL = 1e-8
 _PROB_SLACK = 1e-6
+
+#: A double-double rung is thousands of small numpy operations, each of
+#: which releases and retakes the GIL; two of them in threads hand the GIL
+#: back and forth on every operation and finish later than one after the
+#: other, so they take turns.
+_DD_TURN = threading.Lock()
 
 
 def _check_probability(res, what):
@@ -151,10 +158,11 @@ def _dd_log10(mant, exp2):
 
 
 def _ratio_rung_dd(kernel, den_kernel, den_domains, m):
-    nh, nl, surrogate = assemble_dd(kernel, kernel.domains(), m)
-    mant_n, e_n = dd_det(nh, nl)
-    dh, dl, _ = assemble_dd(den_kernel, den_domains, m)
-    mant_d, e_d = dd_det(dh, dl)
+    with _DD_TURN:
+        nh, nl, surrogate = assemble_dd(kernel, kernel.domains(), m)
+        mant_n, e_n = dd_det(nh, nl)
+        dh, dl, _ = assemble_dd(den_kernel, den_domains, m)
+        mant_d, e_d = dd_det(dh, dl)
     if mant_d[0] == 0.0:
         raise DivisionInstabilityError(
             "denominator is singular at the working precision")

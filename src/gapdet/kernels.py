@@ -126,33 +126,44 @@ class PearceyParams:
         object.__setattr__(self, "endpoints", eps)
 
 
+def _exp_outer(rows, cols):
+    """Row and column factors of exp(rows[:, None] + cols[None, :]).
+
+    Their outer product costs 2m exponentials in place of m^2.  The row
+    factor is shifted down by its largest real part, so neither factor
+    overflows when the largest summed exponent passes the guard.
+    """
+    top = np.max(rows.real)
+    peak = top + np.max(cols.real)
+    if peak > _EXP_GUARD:
+        raise OverflowError("pearcey kernel exponent %.3g too large"
+                            % float(peak))
+    with np.errstate(under="ignore"):
+        return np.exp(rows - top), np.exp(cols + top)
+
+
 def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     mu = np.atleast_1d(np.asarray(mu, dtype=complex))
     if row_on_axis == col_on_axis:
         return np.zeros((lam.size, mu.size), dtype=complex)
-    L = lam[:, None]
-    M = mu[None, :]
-    diff = L - M
-    phase = 0.5 * (pearcey_phase(L, params.tau) - pearcey_phase(M, params.tau))
+    # every exponent is a row term plus a column term
+    half_l = 0.5 * pearcey_phase(lam, params.tau)
+    half_m = 0.5 * pearcey_phase(mu, params.tau)
+    cauchy = 1.0 / (2j * np.pi * (lam[:, None] - mu[None, :]))
     if not row_on_axis:
         # rows on a hyperbola branch, columns on the axis
-        if np.max(phase.real) > _EXP_GUARD:
-            raise OverflowError("pearcey kernel exponent %.3g too large"
-                                % float(np.max(phase.real)))
+        r, c = _exp_outer(half_l, -half_m)
         with np.errstate(under="ignore"):
-            return np.exp(phase) / (2j * np.pi * diff)
+            return np.outer(r, c) * cauchy
     # rows on the axis, columns on a hyperbola branch
-    acc = np.zeros_like(diff)
+    acc = np.zeros_like(cauchy)
     for k, a in enumerate(params.endpoints):
-        expo = -phase + a * diff
-        if np.max(expo.real) > _EXP_GUARD:
-            raise OverflowError("pearcey kernel exponent %.3g too large"
-                                % float(np.max(expo.real)))
+        r, c = _exp_outer(-half_l + a * lam, half_m - a * mu)
         sign = -1.0 if (k + 1) % 2 else 1.0
         with np.errstate(under="ignore"):
-            acc += sign * np.exp(expo)
-    return -acc / (2j * np.pi * diff)
+            acc += sign * np.outer(r, c)
+    return -acc * cauchy
 
 
 class PearceyKernel(BlockKernel):

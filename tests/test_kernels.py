@@ -126,6 +126,24 @@ def test_pearcey_axis_to_contour_formula():
     assert_allclose(got, complex(want), rtol=1e-14)
 
 
+def test_pearcey_exponent_guard():
+    """The guard is on the summed exponent: a row term past exp's range
+    still gives a finite entry when the column term brings the sum back,
+    and a sum past the guard raises."""
+    from gapdet.specfun import pearcey_phase
+
+    ker = PearceyKernel(PearceyParams(0.0, (-1.0, 1.0)))
+    lam, mu = 9.0 + 0.0j, 8.0j      # exponents 820 and -512
+    got = ker.entry(RIGHT, AXIS, [lam], [mu])[0, 0]
+    want = np.exp(0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))) \
+        / (2j * np.pi * (lam - mu))
+    assert np.isfinite(got)
+    # exponents near 800 carry about 2e-13 of relative rounding
+    assert_allclose(got, complex(want), rtol=1e-12)
+    with pytest.raises(OverflowError):
+        ker.entry(RIGHT, AXIS, [10.0 + 0.0j], [0.0j])     # exponent 1250
+
+
 @pytest.mark.parametrize("tau", [0.0, 2.0, 4.0, 6.0])
 def test_pearcey_entries_bounded_on_default_grid(tau):
     ker = PearceyKernel(PearceyParams(tau, (-1.0, 1.0)))
