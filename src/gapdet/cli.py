@@ -330,7 +330,7 @@ def run_positivity_probe(sigma, tau, n_samples=40, seed=1234, m0=40,
     params = TacnodeParams(sigma=sigma, times=(tau,))
     base = FormalTacnodeKernel(params, m_inner=m_inner)
     ck = ConditionedKernel(base, DomainComponent.ray(params.sigma_tilde),
-                           gauss_legendre(2 * m0), a_block=0)
+                           gauss_legendre(2 * m0))
     pts = [(blk, float(x)) for blk in (0, 1)
            for x in np.linspace(-3.0, 1.0, 5)]
     rng = np.random.default_rng(seed)
@@ -371,6 +371,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _count(text):
+    """argparse type of grid sizes and sample counts: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("expected a count >= 0, got %d" % n)
+    return n
+
+
 def _common(sub, m0_default, tol=True):
     sub.add_argument("--m0", type=int, default=m0_default,
                      help="starting nodes per component")
@@ -398,7 +406,7 @@ def build_parser():
     p = subs.add_parser("tw", help="Tracy-Widom F2 over an s grid")
     p.add_argument("--s-min", type=float, default=-8.0)
     p.add_argument("--s-max", type=float, default=4.0)
-    p.add_argument("--steps", type=int, default=12,
+    p.add_argument("--steps", type=_count, default=12,
                    help="number of grid intervals (rows = steps + 1)")
     _common(p, 40)
 
@@ -423,7 +431,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=5.314)
     p.add_argument("--lo", type=float, default=-3.0)
     p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=5, help="grid points per axis")
+    p.add_argument("--n", type=_count, default=5, help="grid points per axis")
     _common(p, 60)
 
     p = subs.add_parser("scan-tacnode-pearcey",
@@ -446,7 +454,7 @@ def build_parser():
                    default="sigma-sweep")
     p.add_argument("--lo", type=float, default=1.0)
     p.add_argument("--hi", type=float, default=5.0)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_count, default=5)
     p.add_argument("--fixed", type=float, default=None,
                    help="the non-swept parameter (tau or sigma)")
     p.add_argument("--one-sided", action="store_true",
@@ -459,7 +467,7 @@ def build_parser():
                              "extended kernel")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--n-samples", type=int, default=40)
+    p.add_argument("--n-samples", type=_count, default=40)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--m-inner", type=int, default=80)
     _common(p, 40, tol=False)

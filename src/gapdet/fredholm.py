@@ -1,16 +1,19 @@
 """Nystrom discretization and Fredholm determinants of block kernels.
 
 A block operator K acts on functions over an ordered list of domain
-components; its (i, j) block is a kernel K_ij(x, y) with x on component i
-and y on component j.  ``assemble`` produces the matrix
+components, which the kernel itself carries (:class:`BlockKernel`); its
+(i, j) block is a kernel K_ij(x, y) with x on component i and y on
+component j.  ``assemble`` produces the matrix
 
-    M[p, q] = delta_pq - w_q * phi'_q * K(x_p, x_q) * zweight(q)
+    M[p, q] = delta_pq - K(x_p, x_q) * w_q * phi'_q * z_q
 
 with all quadrature weights attached to the column index (one-sided
-weighting).  The determinant of M converges to det(I - K) as the rule is
-refined.  ``assemble_dd`` builds the same matrix in double-double (see
-:mod:`gapdet.ddmath`) from the same kernel and components, so a component
-layout is described once for both precisions.
+weighting): w_q and phi'_q are the rule weight and the map derivative at
+node q, and z_q is the kernel's column weight of the component holding q.
+The determinant of M converges to det(I - K) as the rule is refined.
+``assemble_dd`` builds the same matrix in double-double (see
+:mod:`gapdet.ddmath`) from the same kernel, so a component layout is
+described once for both precisions.
 
 Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
@@ -36,27 +39,32 @@ __all__ = ["BlockKernel", "DetResult", "assemble", "assemble_dd",
 class BlockKernel:
     """Base class for block operator kernels.
 
-    Subclasses set ``n_blocks`` and implement ``entry(i, j, x, y)`` which
-    receives 1-d arrays of points on components i and j and returns the
-    (len(x), len(y)) matrix of kernel values.  ``weight(j)`` supplies an
-    optional scalar factor applied to all columns of component j (used for
-    generating-function weights); the default is 1.  Kernels that also
-    assemble in double-double implement ``entry_dd(i, j, x, y)``, the same
-    matrix with (hi, lo) pairs in and out.  ``condense(matrix)`` may
-    replace the assembled float64 matrix by a smaller one with the same
-    determinant before the LU; the default keeps it.
+    A kernel owns its layout: ``domains`` is the ordered list of
+    :class:`gapdet.quadrature.DomainComponent` it acts on, and ``weights``
+    holds one scalar per component that multiplies all of that component's
+    columns (generating-function weights 1 - z; 1.0 each by default).
+    Subclasses implement ``entry(i, j, x, y)``, which receives 1-d arrays of
+    points on components i and j and returns the (len(x), len(y)) matrix of
+    kernel values.  Kernels that also assemble in double-double implement
+    ``entry_dd(i, j, x, y)``, the same matrix with (hi, lo) pairs in and
+    out.  ``condense(matrix)`` may replace the assembled float64 matrix by a
+    smaller one with the same determinant before the LU; the default keeps
+    it.
     """
 
-    n_blocks = 1
+    def __init__(self, domains=(), weights=None):
+        self.domains = list(domains)
+        self.weights = [1.0] * len(self.domains) if weights is None \
+            else list(weights)
+        if len(self.weights) != len(self.domains):
+            raise DomainError("%d column weights given for %d components"
+                              % (len(self.weights), len(self.domains)))
 
     def entry(self, i, j, x, y):
         raise NotImplementedError
 
     def entry_dd(self, i, j, x, y):
         raise NotImplementedError
-
-    def weight(self, j):
-        return 1.0
 
     def condense(self, matrix):
         return matrix
@@ -87,29 +95,27 @@ class DetResult:
         return float(self.value.real)
 
 
-def assemble(kernel, domains, rule):
-    """Identity-minus-weighted-kernel matrix for one quadrature rule.
+def assemble(kernel, rule):
+    """Identity-minus-weighted-kernel matrix of ``kernel`` on its own
+    components for one quadrature rule.
 
     Kernel evaluation failures are re-raised as
     :class:`KernelEvaluationError` with the offending block and, when it can
     be localized by a scalar re-scan, the node coordinates.
     """
-    if kernel.n_blocks != len(domains):
-        raise DomainError("kernel has %d blocks but %d domains given"
-                          % (kernel.n_blocks, len(domains)))
     pts = []
     colw = []
-    for j, dom in enumerate(domains):
+    for dom, zw in zip(kernel.domains, kernel.weights):
         p, dp = dom.map_points(rule.nodes)
         pts.append(np.asarray(p))
-        colw.append(rule.weights * dp * kernel.weight(j))
+        colw.append(rule.weights * dp * zw)
     sizes = [len(p) for p in pts]
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = int(offs[-1])
     # -K W is written in place, block by block, and I added last
     out = np.empty((n, n), dtype=complex)
-    for i in range(len(domains)):
-        for j in range(len(domains)):
+    for i in range(len(pts)):
+        for j in range(len(pts)):
             try:
                 block = kernel.entry(i, j, pts[i], pts[j])
             except (DomainError, OverflowError, FloatingPointError) as exc:
@@ -124,7 +130,7 @@ def assemble(kernel, domains, rule):
     return out, surrogate
 
 
-def assemble_dd(kernel, domains, m):
+def assemble_dd(kernel, m):
     """Double-double twin of :func:`assemble` on the m-point rule.
 
     Every component must be finite; it is mapped affinely onto
@@ -133,17 +139,14 @@ def assemble_dd(kernel, domains, m):
     real.  Returns the hi and lo words of I - K W and the surrogate of
     :func:`assemble`, taken over the hi words.
     """
-    if kernel.n_blocks != len(domains):
-        raise DomainError("kernel has %d blocks but %d domains given"
-                          % (kernel.n_blocks, len(domains)))
     t, w = dd_gauss_legendre(m)
     pts = []
     colw = []
-    for j, dom in enumerate(domains):
+    for dom, zw in zip(kernel.domains, kernel.weights):
         if dom.kind != "finite":
             raise DomainError("double-double assembly needs finite "
                               "components, got %s %r" % (dom.kind, dom.label))
-        zw = complex(kernel.weight(j))
+        zw = complex(zw)
         if zw.imag != 0.0:
             raise DomainError("double-double path requires real weights")
         a = (dom.a, 0.0)
@@ -155,8 +158,8 @@ def assemble_dd(kernel, domains, m):
     n = int(offs[-1])
     hi = np.zeros((n, n))
     lo = np.zeros((n, n))
-    for i in range(len(domains)):
-        for j in range(len(domains)):
+    for i in range(len(pts)):
+        for j in range(len(pts)):
             blk = dd_mul(kernel.entry_dd(i, j, pts[i], pts[j]), colw[j])
             hi[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[0]
             lo[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[1]
@@ -191,10 +194,9 @@ def determinant(matrix):
     return complex(np.linalg.det(matrix))
 
 
-def det_at(kernel, domains, m):
+def det_at(kernel, m):
     """Discretized det(I - K) at a fixed per-component node count."""
-    rule = gauss_legendre(m)
-    mat, surrogate = assemble(kernel, domains, rule)
+    mat, surrogate = assemble(kernel, gauss_legendre(m))
     return determinant(kernel.condense(mat)), surrogate
 
 
@@ -241,9 +243,9 @@ def ladder(rung, m0, tol, n_components=1):
                      parts=parts)
 
 
-def fredholm_det(kernel, domains, m0=40, tol=1e-8):
+def fredholm_det(kernel, m0=40, tol=1e-8):
     """det(I - K) refined by :func:`ladder` over :func:`det_at`."""
     def rung(m):
-        value, surrogate = det_at(kernel, domains, m)
+        value, surrogate = det_at(kernel, m)
         return value, {"norm_surrogate": surrogate}
-    return ladder(rung, m0, tol, n_components=len(domains))
+    return ladder(rung, m0, tol, n_components=len(kernel.domains))

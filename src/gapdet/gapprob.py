@@ -18,8 +18,9 @@ weights, which is all the deep-overlap scans need.  Complex weights stay
 on the float64 path and degrade honestly through the convergence ladder.
 Both precisions discretize the same kernels on the same components:
 :func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`
-read one :class:`gapdet.kernels.TacnodeHKernel` and one Airy denominator,
-and the route only picks which of the two rung functions runs.
+read one :class:`gapdet.kernels.TacnodeHKernel` and the Airy denominator
+it lays out on its own edge components, and the route only picks which of
+the two rung functions runs.
 """
 
 import math
@@ -29,10 +30,10 @@ import numpy as np
 
 from .ddmath import dd_det, dd_div
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
-from .fredholm import BlockKernel, assemble_dd, det_at, fredholm_det, ladder
+from .fredholm import assemble_dd, det_at, fredholm_det, ladder
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
-                      TacnodeHKernel, check_slots)
-from .quadrature import DomainComponent, edge_components
+                      TacnodeHKernel)
+from .quadrature import DomainComponent
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
            "tacnode_gap_ratio", "tacnode_gap_direct", "generating_function",
@@ -82,7 +83,7 @@ def tracy_widom_F2(s, m0=40, tol=1e-8):
     s = float(s)
     if not -12.0 <= s <= 12.0:
         raise DomainError("s must lie in [-12, 12], got %g" % s)
-    res = generating_function(AiryKernel(1), [(s, math.inf)], m0=m0, tol=tol)
+    res = generating_function([(s, math.inf)], m0=m0, tol=tol)
     _check_probability(res, "F2(%g)" % s)
     return res
 
@@ -98,7 +99,7 @@ def airy_gap(intervals, m0=40, tol=1e-8):
         if not np.isfinite(b):
             raise DomainError("interval needs finite a < b, got [%r, %r]"
                               % (a, b))
-    res = generating_function(AiryKernel(1), ivs, m0=m0, tol=tol)
+    res = generating_function(ivs, m0=m0, tol=tol)
     _check_probability(res, "airy gap")
     return res
 
@@ -113,9 +114,7 @@ def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
     fires.  With no endpoints the axis-to-contour coupling vanishes and
     the value is 1.
     """
-    ker = PearceyKernel(params)
-    doms = PearceyKernel.domains(imag_variant=imag_variant)
-    res = fredholm_det(ker, doms, m0=m0, tol=tol)
+    res = fredholm_det(PearceyKernel(params, imag_variant), m0=m0, tol=tol)
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 
@@ -131,9 +130,9 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _ratio_rung_f64(kernel, den_kernel, den_domains, m):
-    num, surrogate = det_at(kernel, kernel.domains(), m)
-    den, _ = det_at(den_kernel, den_domains, m)
+def _ratio_rung_f64(kernel, den_kernel, m):
+    num, surrogate = det_at(kernel, m)
+    den, _ = det_at(den_kernel, m)
     if abs(den) < _DEN_FLOOR:
         raise DivisionInstabilityError(
             "denominator %.3e is below %.1e; its float64 digits cannot "
@@ -157,11 +156,11 @@ def _dd_log10(mant, exp2):
     return math.log10(abs(float(mant[0]))) + int(exp2) * math.log10(2.0)
 
 
-def _ratio_rung_dd(kernel, den_kernel, den_domains, m):
+def _ratio_rung_dd(kernel, den_kernel, m):
     with _DD_TURN:
-        nh, nl, surrogate = assemble_dd(kernel, kernel.domains(), m)
+        nh, nl, surrogate = assemble_dd(kernel, m)
         mant_n, e_n = dd_det(nh, nl)
-        dh, dl, _ = assemble_dd(den_kernel, den_domains, m)
+        dh, dl, _ = assemble_dd(den_kernel, m)
         mant_d, e_d = dd_det(dh, dl)
     if mant_d[0] == 0.0:
         raise DivisionInstabilityError(
@@ -199,16 +198,13 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeHKernel(params, spec)
-    den_domains = edge_components(params.sigma_tilde, kernel.cutoff,
-                                  label="edge")
-    den_kernel = AiryKernel(len(den_domains))
+    den_kernel = kernel.denominator()
     weights = [z for _, _, _, z in spec.flat()]
     if params.sigma <= DD_SIGMA and all(z.imag == 0.0 for z in weights):
         ratio_rung = _ratio_rung_dd
     else:
         ratio_rung = _ratio_rung_f64
-    res = ladder(lambda m: ratio_rung(kernel, den_kernel, den_domains, m),
-                 m0, tol)
+    res = ladder(lambda m: ratio_rung(kernel, den_kernel, m), m0, tol)
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
@@ -217,8 +213,7 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
 # ---------------------------------------------------------------------------
 # Tacnode, direct route
 
-def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
-                       force_sigma=False):
+def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """Tacnode gap probability from the direct space-time kernel.
 
     det(I - K restricted to the gap intervals), with K the formal extended
@@ -231,11 +226,10 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
     restriction becomes singular, and it reports that honestly.
     """
     _check_sigma_window(params, force_sigma)
-    check_slots(spec, params)
 
     def rung(m):
-        kernel = TacnodeDirectKernel(params, spec, m, m_inner=m_inner)
-        val, surrogate = det_at(kernel, kernel.domains(), m)
+        kernel = TacnodeDirectKernel(params, spec, m)
+        val, surrogate = det_at(kernel, m)
         return val, {"route": "direct", "norm_surrogate": surrogate,
                      "resolvent_rcond": kernel.conditioned.rcond}
 
@@ -248,33 +242,16 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, m_inner=80,
 # ---------------------------------------------------------------------------
 # Generating functions
 
-class _WeightedRestriction(BlockKernel):
-    """One-block kernel replicated over intervals with (1 - z) columns."""
+def generating_function(intervals, m0=40, tol=1e-8):
+    """Occupation-number generating function of the Airy process.
 
-    def __init__(self, base, weights):
-        self.base = base
-        self.n_blocks = len(weights)
-        self._weights = list(weights)
-
-    def entry(self, i, j, x, y):
-        return self.base.entry(0, 0, x, y)
-
-    def weight(self, j):
-        return self._weights[j]
-
-
-def generating_function(kernel, intervals, m0=40, tol=1e-8):
-    """Occupation-number generating function of a determinantal process.
-
-    ``kernel`` is a one-block kernel; ``intervals`` is a sequence of
-    (a, b) or (a, b, z) with disjoint [a, b] and b = inf allowed (the last
-    interval may be a ray).  Computes det(I - W K) where W scales the
-    columns of interval j by (1 - z_j).  At z = 0 everywhere this is the
-    plain gap probability, through bit-identical assembly; at z = 1
-    everywhere the weighted projector vanishes and the value is 1.
+    ``intervals`` is a sequence of (a, b) or (a, b, z) with disjoint
+    [a, b] and b = inf allowed (the last interval may be a ray).  Computes
+    det(I - K_Ai W) where W scales the columns of interval j by (1 - z_j).
+    At z = 0 everywhere this is the plain gap probability, through
+    bit-identical assembly; at z = 1 everywhere the weighted projector
+    vanishes and the value is 1.
     """
-    if getattr(kernel, "n_blocks", None) != 1:
-        raise DomainError("generating_function needs a one-block kernel")
     norm = []
     for iv in intervals:
         if len(iv) == 2:
@@ -299,5 +276,5 @@ def generating_function(kernel, intervals, m0=40, tol=1e-8):
             doms.append(DomainComponent.ray(a))
         else:
             doms.append(DomainComponent.finite(a, b))
-    wrapped = _WeightedRestriction(kernel, [1.0 - z for _, _, z in norm])
-    return fredholm_det(wrapped, doms, m0=m0, tol=tol)
+    kernel = AiryKernel(doms, [1.0 - z for _, _, z in norm])
+    return fredholm_det(kernel, m0=m0, tol=tol)

@@ -76,9 +76,6 @@ def airy_kernel_matrix(x, y):
 class AiryKernel(BlockKernel):
     """Airy kernel over any number of real components."""
 
-    def __init__(self, n_blocks=1):
-        self.n_blocks = n_blocks
-
     def entry(self, i, j, x, y):
         return airy_kernel_matrix(np.real(x), np.real(y))
 
@@ -169,20 +166,16 @@ def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
 class PearceyKernel(BlockKernel):
     """Pearcey kernel over (left branch, imaginary axis, right branch)."""
 
-    n_blocks = 3
     _axis = (False, True, False)
 
-    def __init__(self, params):
+    def __init__(self, params, imag_variant="tan"):
+        super().__init__([DomainComponent.contour_left(),
+                          DomainComponent.contour_imag(variant=imag_variant),
+                          DomainComponent.contour_right()])
         self.params = params
 
     def entry(self, i, j, x, y):
         return _pearcey_block(self._axis[i], self._axis[j], x, y, self.params)
-
-    @staticmethod
-    def domains(imag_variant="tan"):
-        return [DomainComponent.contour_left(),
-                DomainComponent.contour_imag(variant=imag_variant),
-                DomainComponent.contour_right()]
 
     def condense(self, matrix):
         """The axis block's Schur complement of I - K W.
@@ -369,16 +362,9 @@ class _LayoutKernel(BlockKernel):
     """Block kernel over a fixed list of (role, column weight, component)."""
 
     def __init__(self, layout):
+        super().__init__([comp for _, _, comp in layout],
+                         [w for _, w, _ in layout])
         self._roles = [role for role, _, _ in layout]
-        self._weights = [w for _, w, _ in layout]
-        self._domains = [comp for _, _, comp in layout]
-        self.n_blocks = len(layout)
-
-    def domains(self):
-        return list(self._domains)
-
-    def weight(self, j):
-        return self._weights[j]
 
 
 class TacnodeHKernel(_LayoutKernel):
@@ -405,6 +391,12 @@ class TacnodeHKernel(_LayoutKernel):
                for comp in edge_components(params.sigma_tilde, self.cutoff,
                                            label="edge")]
             + _gap_layout(spec))
+
+    def denominator(self):
+        """The ratio's denominator: the Airy kernel on this kernel's own
+        role-0 edge components, so both determinants share one rule."""
+        edge = [c for r, c in zip(self._roles, self.domains) if r == 0]
+        return AiryKernel(edge)
 
     def entry(self, i, j, x, y):
         return tacnode_block_entry(self._roles[i], self._roles[j],
@@ -465,13 +457,13 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
 # Extended Airy kernel and the coupling function
 
 @lru_cache(maxsize=None)
-def _inner_rule(m, start=0.0, scale=4.0):
-    """m-point ray rule on [start, inf) for the inner Airy integrals."""
+def _inner_rule(m):
+    """m-point ray rule on [0, inf) for the inner Airy integrals."""
     if m < _MIN_INNER:
         raise DomainError("m_inner must be at least %d, got %d"
                           % (_MIN_INNER, m))
     rule = gauss_legendre(m)
-    u, du = map_ray(rule.nodes, start, scale)
+    u, du = map_ray(rule.nodes, 0.0)
     wu = rule.weights * du
     u.flags.writeable = False
     wu.flags.writeable = False
@@ -514,17 +506,18 @@ def coupling_matrix(tau, xi, u, m_inner):
 class FormalTacnodeKernel(BlockKernel):
     """Block kernel of the formal extended process behind the tacnode ratio.
 
-    Component 0 is a full auxiliary real line; components 1..r are the time
-    slices.  The gap identity factorizes through this kernel, but it is not
+    Block 0 is a full auxiliary real line; blocks 1..r are the time slices.
+    The gap identity factorizes through this kernel, but it is not
     a bona fide correlation kernel: minors can go negative, which is what
-    the positivity probe exhibits.
+    the positivity probe exhibits.  Only its entries are read, through
+    :class:`ConditionedKernel`; it is never assembled, so it carries no
+    component layout.
     """
 
     def __init__(self, params, m_inner=80):
         _inner_rule(m_inner)            # rejects a too-coarse inner rule now
         self.params = params
         self.m_inner = m_inner
-        self.n_blocks = 1 + params.r
 
     def entry(self, i, j, x, y):
         x = np.real(np.asarray(x))
@@ -570,20 +563,18 @@ class ConditionedKernel:
     """Kernel of a determinantal process conditioned on an empty region.
 
     ``base`` is a block kernel, ``a_component`` the region swept empty
-    (living on base block ``a_block``), discretized with ``rule``.  Entry
-    evaluation adds the resolvent correction
-    K(y1, a) (I - K|_A)^(-1) K(a, y2) integrated over the region to the bare
-    kernel.
+    (living on base block 0), discretized with ``rule``.  Entry evaluation
+    adds the resolvent correction K(y1, a) (I - K|_A)^(-1) K(a, y2)
+    integrated over the region to the bare kernel.
     """
 
-    def __init__(self, base, a_component, rule, a_block=0):
+    def __init__(self, base, a_component, rule):
         self.base = base
-        self.a_block = a_block
         pts, dp = a_component.map_points(rule.nodes)
         self.nodes = np.asarray(pts)
         self.colw = rule.weights * dp
         self._inv, self.rcond = _factor_restriction(
-            np.asarray(base.entry(a_block, a_block, self.nodes, self.nodes),
+            np.asarray(base.entry(0, 0, self.nodes, self.nodes),
                        dtype=float), self.colw,
             "conditioning region %s has vanishing free probability"
             % a_component.label)
@@ -592,8 +583,8 @@ class ConditionedKernel:
         y1 = np.atleast_1d(np.asarray(y1, dtype=float))
         y2 = np.atleast_1d(np.asarray(y2, dtype=float))
         bare = self.base.entry(b1, b2, y1, y2)
-        u = self.base.entry(b1, self.a_block, y1, self.nodes)
-        v = self.base.entry(self.a_block, b2, self.nodes, y2)
+        u = self.base.entry(b1, 0, y1, self.nodes)
+        v = self.base.entry(0, b2, self.nodes, y2)
         g = self._inv @ np.asarray(v, dtype=float)
         return bare + (np.asarray(u) * self.colw[None, :]) @ g
 
@@ -609,13 +600,13 @@ class TacnodeDirectKernel(_LayoutKernel):
     component of role k reads the kernel's time block k.
     """
 
-    def __init__(self, params, spec, m, m_inner=80):
+    def __init__(self, params, spec, m):
         check_slots(spec, params)
         super().__init__(_gap_layout(spec))
         self.params = params
         self.spec = spec
         self.conditioned = ConditionedKernel(
-            FormalTacnodeKernel(params, m_inner),
+            FormalTacnodeKernel(params),
             DomainComponent.ray(params.sigma_tilde), gauss_legendre(m))
 
     def entry(self, i, j, x, y):

@@ -210,14 +210,6 @@ class DomainComponent:
         return DomainComponent(kind="contour_imag", variant=variant,
                                label=label)
 
-    @property
-    def is_contour(self):
-        return self.kind.startswith("contour")
-
-    @property
-    def on_imag_axis(self):
-        return self.kind == "contour_imag"
-
     def map_points(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "finite":

@@ -95,9 +95,9 @@ def test_tacnode_approaches_pearcey_for_deep_sigma(capsys):
 class _Conditioned(BlockKernel):
     """One-block view of a conditioned kernel, for determinant assembly."""
 
-    def __init__(self, ck):
+    def __init__(self, ck, domain):
+        super().__init__([domain])
         self.ck = ck
-        self.n_blocks = 1
 
     def entry(self, i, j, x, y):
         return self.ck.value_matrix(0, np.real(x), 0, np.real(y))
@@ -105,9 +105,9 @@ class _Conditioned(BlockKernel):
 
 def _conditioning_identity_gap(e, a):
     """|det(1 - K_A on E) - det(1 - K on E+A) / det(1 - K on A)|."""
-    ck = ConditionedKernel(AiryKernel(1), DomainComponent.finite(*a),
+    ck = ConditionedKernel(AiryKernel(), DomainComponent.finite(*a),
                            gauss_legendre(80))
-    lhs = fredholm_det(_Conditioned(ck), [DomainComponent.finite(*e)]).real
+    lhs = fredholm_det(_Conditioned(ck, DomainComponent.finite(*e))).real
     rhs = airy_gap([e, a]).real / airy_gap([a]).real
     return abs(lhs - rhs)
 
@@ -171,7 +171,7 @@ def test_structural_properties_hold(capsys):
     empty = tacnode_gap_ratio(GapSpec([[]]), TacnodeParams(0.0, (0.0,))).real
     checks["empty gap gives 1"] = abs(empty - 1.0) <= 1e-9
 
-    gen = generating_function(AiryKernel(1), [(-1.0, 1.0, 1.0)]).real
+    gen = generating_function([(-1.0, 1.0, 1.0)]).real
     checks["unit weight gives 1"] = abs(gen - 1.0) <= 1e-9
 
     failed = [name for name, ok in checks.items() if not ok]

@@ -109,6 +109,21 @@ def test_malformed_intervals_exit_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["tw", "--steps", "-2"],
+    ["scan-pearcey-airy", "--n", "-1"],
+    ["scan-tacnode-airy", "--n", "-3"],
+    ["positivity-probe", "--n-samples", "-1"],
+], ids=["tw-steps", "scan-pearcey-airy-n", "scan-tacnode-airy-n",
+        "probe-n-samples"])
+def test_negative_count_exits_3(capsys, argv):
+    # exit 1 means "probe found no witness", so bad counts must not crash
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "count >= 0" in capsys.readouterr().err
+
+
 def test_failed_row_exits_2_and_reports(capsys):
     # sigma = 12 is outside the stability window; the row carries the error
     rc, text = run_text(capsys, ["tacnode", "--sigma", "12",

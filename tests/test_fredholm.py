@@ -19,10 +19,10 @@ from gapdet.quadrature import DomainComponent, gauss_legendre
 class SeparableKernel(BlockKernel):
     """Rank-one kernel f(x) g(y), any number of identical blocks."""
 
-    def __init__(self, f, g, n_blocks=1):
+    def __init__(self, f, g, domains):
+        super().__init__(domains)
         self.f = f
         self.g = g
-        self.n_blocks = n_blocks
 
     def entry(self, i, j, x, y):
         x = np.asarray(x, dtype=float)
@@ -37,8 +37,6 @@ class ZeroKernel(BlockKernel):
 
 class BlockDiagonalKernel(BlockKernel):
     """Two decoupled smooth blocks."""
-
-    n_blocks = 2
 
     def entry(self, i, j, x, y):
         x = np.asarray(x, dtype=float)
@@ -111,16 +109,18 @@ def test_determinant_rejects_non_square():
 # Assembly
 
 def test_assemble_zero_kernel_gives_identity():
-    mat, surrogate = assemble(ZeroKernel(), [DomainComponent.finite(0, 1)],
+    mat, surrogate = assemble(ZeroKernel([DomainComponent.finite(0, 1)]),
                               gauss_legendre(12))
     assert_allclose(mat, np.eye(12), rtol=0, atol=0)
     assert surrogate == 0.0
 
 
-def test_assemble_block_count_mismatch():
+def test_block_kernel_weight_count_mismatch():
+    # one column weight per component: a short list would otherwise drop
+    # components from the assembly without a word
+    comp = DomainComponent.finite(0, 1)
     with pytest.raises(DomainError):
-        assemble(ZeroKernel(), [DomainComponent.finite(0, 1)] * 2,
-                 gauss_legendre(8))
+        BlockKernel([comp, comp], [1.0])
 
 
 def test_assemble_localizes_kernel_failures():
@@ -131,7 +131,7 @@ def test_assemble_localizes_kernel_failures():
             return np.zeros((len(x), len(y)))
 
     with pytest.raises(KernelEvaluationError) as info:
-        assemble(FailingKernel(), [DomainComponent.finite(0, 1)],
+        assemble(FailingKernel([DomainComponent.finite(0, 1)]),
                  gauss_legendre(8))
     assert info.value.block_row == 0
     assert info.value.block_col == 0
@@ -160,50 +160,48 @@ def test_column_weighting_matches_symmetric_weighting():
 
 def test_rank_one_kernel_closed_form():
     # for K(x,y) = f(x) f(y) on [0,1]: det(I - K) = 1 - int f^2
-    res = fredholm_det(SeparableKernel(np.exp, np.exp),
-                       [DomainComponent.finite(0.0, 1.0)], m0=20)
+    res = fredholm_det(SeparableKernel(np.exp, np.exp,
+                                       [DomainComponent.finite(0.0, 1.0)]),
+                       m0=20)
     exact = 1.0 - (math.e ** 2 - 1.0) / 2.0
     assert_allclose(res.real, exact, rtol=0, atol=1e-10)
     assert res.imag_residual < 1e-14
 
 
 def test_zero_kernel_determinant_is_one():
-    res = fredholm_det(ZeroKernel(), [DomainComponent.finite(0.0, 1.0)],
-                       m0=10)
+    res = fredholm_det(ZeroKernel([DomainComponent.finite(0.0, 1.0)]), m0=10)
     assert res.value == 1.0 + 0.0j
     assert res.err_estimate == np.spacing(1.0)
     assert res.m_used == (20,)
 
 
 def test_no_domains_determinant_is_one():
-    class Empty(BlockKernel):
-        n_blocks = 0
-
-    res = fredholm_det(Empty(), [], m0=10)
+    res = fredholm_det(BlockKernel(), m0=10)
     assert res.value == 1.0 + 0.0j
 
 
 def test_block_diagonal_multiplicativity():
     doms = [DomainComponent.finite(0.0, 1.0),
             DomainComponent.finite(-1.0, 0.5)]
-    full = fredholm_det(BlockDiagonalKernel(), doms, m0=20)
+    full = fredholm_det(BlockDiagonalKernel(doms), m0=20)
 
     class Solo(BlockKernel):
         def __init__(self, which):
+            super().__init__([doms[which]])
             self.which = which
 
         def entry(self, i, j, x, y):
             return BlockDiagonalKernel().entry(self.which, self.which, x, y)
 
-    d0 = fredholm_det(Solo(0), [doms[0]], m0=20)
-    d1 = fredholm_det(Solo(1), [doms[1]], m0=20)
+    d0 = fredholm_det(Solo(0), m0=20)
+    d1 = fredholm_det(Solo(1), m0=20)
     assert abs(full.value - d0.value * d1.value) < 1e-12
 
 
 def test_airy_ray_converges_and_is_stable_in_m0():
-    dom = [DomainComponent.ray(0.0)]
-    a = fredholm_det(AiryKernel(1), dom, m0=30)
-    b = fredholm_det(AiryKernel(1), dom, m0=60)
+    ker = AiryKernel([DomainComponent.ray(0.0)])
+    a = fredholm_det(ker, m0=30)
+    b = fredholm_det(ker, m0=60)
     assert abs(a.value - b.value) < 1e-10
     assert a.err_estimate < 1e-8
 
@@ -213,18 +211,16 @@ def test_err_estimate_shrinks_on_refinement():
     # The rules are small enough that both differences are quadrature
     # error: from m = 10 on this rank-one determinant is exact to a few ulp,
     # and the order of two such differences is decided by the LU's rounding
-    dom = [DomainComponent.finite(0.0, 1.0)]
-    ker = SeparableKernel(np.cos, np.sin)
-    d2, _ = det_at(ker, dom, 2)
-    d4, _ = det_at(ker, dom, 4)
-    d8, _ = det_at(ker, dom, 8)
+    ker = SeparableKernel(np.cos, np.sin, [DomainComponent.finite(0.0, 1.0)])
+    d2, _ = det_at(ker, 2)
+    d4, _ = det_at(ker, 4)
+    d8, _ = det_at(ker, 8)
     assert 1e-14 < abs(d8 - d4) <= abs(d4 - d2)
 
 
 def test_norm_surrogate_bounds_probability_like_values():
     # contraction: surrogate < 1 forces det(I - K) into (0, 2)
-    dom = [DomainComponent.finite(0.0, 2.0)]
-    res = fredholm_det(AiryKernel(1), dom, m0=20)
+    res = fredholm_det(AiryKernel([DomainComponent.finite(0.0, 2.0)]), m0=20)
     assert res.norm_surrogate < 1.0
     assert 0.0 < res.real < 2.0
 
@@ -235,7 +231,7 @@ def test_norm_surrogate_bounds_probability_like_values():
 # the estimate's one-ulp floor keeps 1e-17 out of reach even when the last
 # two rungs round to the same float.
 def jump_det(m0, tol):
-    return fredholm_det(JumpKernel(), [DomainComponent.finite(0.0, 1.0)],
+    return fredholm_det(JumpKernel([DomainComponent.finite(0.0, 1.0)]),
                         m0=m0, tol=tol)
 
 

@@ -100,10 +100,9 @@ def test_pearcey_branch_elimination_matches_full_determinant():
     # a Pearcey rung factors the axis block's Schur complement; the LU of
     # the full three-component matrix on the same rule is the reference
     ker = PearceyKernel(PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0)))
-    doms = PearceyKernel.domains()
     for m in (60, 120):
-        full = determinant(assemble(ker, doms, gauss_legendre(m))[0])
-        assert abs(det_at(ker, doms, m)[0] - full) <= 1e-13
+        full = determinant(assemble(ker, gauss_legendre(m))[0])
+        assert abs(det_at(ker, m)[0] - full) <= 1e-13
 
 
 def test_pearcey_no_endpoints_gives_one():
@@ -235,42 +234,36 @@ def test_tacnode_slot_count_mismatch():
 # Generating functions
 
 def test_generating_function_plain_gap_is_bit_identical():
-    g = generating_function(AiryKernel(1), [(-1.0, 1.0)])
+    g = generating_function([(-1.0, 1.0)])
     a = airy_gap([(-1.0, 1.0)])
     assert g.real == a.real
     assert_allclose(g.real, 0.8096707158102225, rtol=0, atol=5e-13)
 
 
 def test_generating_function_pinned_half_weight():
-    g = generating_function(AiryKernel(1), [(0.0, 2.0, 0.5)])
+    g = generating_function([(0.0, 2.0, 0.5)])
     assert_allclose(g.real, 0.984742050341916, rtol=0, atol=5e-13)
     # same determinant through explicit column weights on the base kernel
-    class HalfWeighted(AiryKernel):
-        def weight(self, j):
-            return 0.5
-
-    twin = fredholm_det(HalfWeighted(1), [DomainComponent.finite(0.0, 2.0)])
+    twin = fredholm_det(AiryKernel([DomainComponent.finite(0.0, 2.0)], [0.5]))
     assert g.real == twin.real
 
 
 def test_generating_function_unit_weight_gives_one():
-    g = generating_function(AiryKernel(1), [(-1.0, 1.0, 1.0)])
+    g = generating_function([(-1.0, 1.0, 1.0)])
     assert g.real == 1.0
     assert g.value.imag == 0.0
 
 
 def test_generating_function_ray_matches_tracy_widom():
-    g = generating_function(AiryKernel(1), [(0.0, math.inf)])
+    g = generating_function([(0.0, math.inf)])
     assert g.real == tracy_widom_F2(0.0).real
 
 
 def test_generating_function_validation():
     with pytest.raises(DomainError):
-        generating_function(AiryKernel(2), [(0.0, 1.0)])
+        generating_function([(0.0, 1.0), (0.5, 2.0)])
     with pytest.raises(DomainError):
-        generating_function(AiryKernel(1), [(0.0, 1.0), (0.5, 2.0)])
-    with pytest.raises(DomainError):
-        generating_function(AiryKernel(1), [(0.0, 1.0, 0.3, 0.4)])
+        generating_function([(0.0, 1.0, 0.3, 0.4)])
 
 
 # ---------------------------------------------------------------------------

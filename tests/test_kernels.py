@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from gapdet.errors import DomainError, SingularRestrictionError
 from gapdet.fredholm import assemble, assemble_dd
-from gapdet.gapprob import tacnode_gap_direct
 from gapdet.kernels import (
     AiryKernel,
     ConditionedKernel,
@@ -23,8 +22,7 @@ from gapdet.kernels import (
     tacnode_block_entry,
     tail_cutoff,
 )
-from gapdet.quadrature import (DomainComponent, edge_components,
-                               gauss_legendre, map_ray)
+from gapdet.quadrature import DomainComponent, gauss_legendre, map_ray
 from gapdet.specfun import airy_ai, airy_ai_prime, airy_shifted, heat_kernel
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -147,9 +145,8 @@ def test_pearcey_exponent_guard():
 @pytest.mark.parametrize("tau", [0.0, 2.0, 4.0, 6.0])
 def test_pearcey_entries_bounded_on_default_grid(tau):
     ker = PearceyKernel(PearceyParams(tau, (-1.0, 1.0)))
-    doms = PearceyKernel.domains()
     rule = gauss_legendre(60)
-    pts = [d.map_points(rule.nodes)[0] for d in doms]
+    pts = [d.map_points(rule.nodes)[0] for d in ker.domains]
     for i in range(3):
         for j in range(3):
             blk = ker.entry(i, j, pts[i], pts[j])
@@ -257,16 +254,28 @@ def test_h_kernel_layout_and_weights():
     par = TacnodeParams(-1.0, (0.0,))
     spec = GapSpec([[(-1.0, 1.0, 0.25)]])
     ker = TacnodeHKernel(par, spec)
-    doms = ker.domains()
+    doms = ker.domains
     # edge [0, X], edge [sigma_tilde, X] split at 0, one interval
     assert len(doms) == 4
     assert (doms[0].a, doms[0].b) == (0.0, ker.cutoff)
     assert (doms[1].a, doms[1].b) == (par.sigma_tilde, 0.0)
     assert (doms[2].a, doms[2].b) == (0.0, ker.cutoff)
     assert (doms[3].a, doms[3].b) == (-1.0, 1.0)
-    assert [ker.weight(j) for j in range(4)] == [1.0, 1.0, 1.0, 0.75]
+    assert ker.weights == [1.0, 1.0, 1.0, 0.75]
     with pytest.raises(DomainError):
         TacnodeHKernel(par, GapSpec([[], []]))
+
+
+def test_h_kernel_denominator_shares_edge_components():
+    # numerator and denominator of the ratio share one rule: the Airy
+    # denominator lies on the numerator's own [sigma_tilde, X] components
+    ker = TacnodeHKernel(TacnodeParams(-1.0, (0.0,)),
+                         GapSpec([[(-1.0, 1.0, 0.25)]]))
+    den = ker.denominator()
+    assert isinstance(den, AiryKernel)
+    assert len(den.domains) == 2
+    assert all(d is c for d, c in zip(den.domains, ker.domains[1:3]))
+    assert den.weights == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("times, per_time", [
@@ -280,11 +289,9 @@ def test_double_double_assembly_matches_float64(times, per_time):
     # column weights included), and so must the norm surrogates
     par = TacnodeParams(-1.0, times)
     ker = TacnodeHKernel(par, GapSpec(per_time))
-    den_doms = edge_components(par.sigma_tilde, ker.cutoff)
-    for kernel, doms in ((ker, ker.domains()),
-                         (AiryKernel(len(den_doms)), den_doms)):
-        mat, surrogate = assemble(kernel, doms, gauss_legendre(24))
-        hi, lo, surrogate_dd = assemble_dd(kernel, doms, 24)
+    for kernel in (ker, ker.denominator()):
+        mat, surrogate = assemble(kernel, gauss_legendre(24))
+        hi, lo, surrogate_dd = assemble_dd(kernel, 24)
         assert hi.shape == mat.shape
         assert np.max(np.abs(mat.real - hi)) < 1e-13
         assert np.max(np.abs(lo)) < 1e-15
@@ -296,12 +303,11 @@ def test_double_double_assembly_rejects_complex_weights(case):
     if case == "complex-weight":
         kernel = TacnodeHKernel(TacnodeParams(-4.0, (0.0,)),
                                 GapSpec([[(-1.0, 1.0, 0.5j)]]))
-        doms = kernel.domains()
     else:
         # the F2 domain: a ray has no affine double-double map
-        kernel, doms = AiryKernel(1), [DomainComponent.ray(-2.0)]
+        kernel = AiryKernel([DomainComponent.ray(-2.0)])
     with pytest.raises(DomainError):
-        assemble_dd(kernel, doms, 16)
+        assemble_dd(kernel, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +334,6 @@ def test_ext_airy_guards():
     par = TacnodeParams(0.0, (0.0,))
     with pytest.raises(DomainError):
         FormalTacnodeKernel(par, m_inner=10)
-    with pytest.raises(DomainError):
-        tacnode_gap_direct(GapSpec([[(-1.0, 1.0)]]), par, m_inner=10)
 
 
 def test_coupling_consistency_with_direct_quadrature():
@@ -351,7 +355,7 @@ def test_coupling_decays_along_the_ray():
 def test_resolvent_solves_identity_like_system():
     # on the region's own nodes the conditioned kernel L is the resolvent
     # image of K: (I - K W) L = K
-    ck = ConditionedKernel(AiryKernel(1), DomainComponent.ray(0.0),
+    ck = ConditionedKernel(AiryKernel(), DomainComponent.ray(0.0),
                            gauss_legendre(60))
     assert ck.rcond > 1e-6
     kmat = airy_kernel_matrix(ck.nodes, ck.nodes)
@@ -393,7 +397,6 @@ def test_direct_kernel_symmetric_at_equal_times():
 def test_formal_kernel_block_structure():
     par = TacnodeParams(0.0, (0.0,))
     ker = FormalTacnodeKernel(par)
-    assert ker.n_blocks == 2
     x = np.array([-0.5, 0.3])
     got = ker.entry(0, 0, x, x)
     assert_allclose(got, airy_kernel_matrix(x, x), rtol=0, atol=0)
@@ -405,7 +408,7 @@ def test_formal_kernel_block_structure():
 
 
 def test_conditioned_kernel_symmetry():
-    ck = ConditionedKernel(AiryKernel(1), DomainComponent.finite(1.0, 2.0),
+    ck = ConditionedKernel(AiryKernel(), DomainComponent.finite(1.0, 2.0),
                            gauss_legendre(60))
     assert ck.rcond > 1e-8
     a = ck.value(0, 0.2, 0, -0.7)
@@ -415,12 +418,12 @@ def test_conditioned_kernel_symmetry():
 
 def test_conditioned_kernel_correction_sign():
     # conditioning on emptiness of [1, 2] raises the correlation nearby
-    ck = ConditionedKernel(AiryKernel(1), DomainComponent.finite(1.0, 2.0),
+    ck = ConditionedKernel(AiryKernel(), DomainComponent.finite(1.0, 2.0),
                            gauss_legendre(60))
     assert ck.value(0, 0.9, 0, 0.9) > airy_kernel(0.9, 0.9)
 
 
 def test_conditioned_kernel_singular_region():
     with pytest.raises(SingularRestrictionError):
-        ConditionedKernel(AiryKernel(1), DomainComponent.ray(-13.5),
+        ConditionedKernel(AiryKernel(), DomainComponent.ray(-13.5),
                           gauss_legendre(80))

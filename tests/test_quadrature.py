@@ -175,15 +175,12 @@ def test_finite_component_maps_affinely():
 
 def test_ray_component():
     ray = DomainComponent.ray(2.0)
-    assert ray.kind == "ray" and not ray.is_contour
+    assert ray.kind == "ray"
     with pytest.raises(DomainError):
         DomainComponent.ray(np.inf)
 
 
 def test_contour_component_flags():
-    assert DomainComponent.contour_right().is_contour
-    assert not DomainComponent.contour_right().on_imag_axis
-    assert DomainComponent.contour_imag().on_imag_axis
     with pytest.raises(DomainError):
         DomainComponent.contour_imag(variant="spline")
 
