@@ -69,7 +69,8 @@ def _diag(res):
     return {"err": res.err_estimate,
             "imag_residual": res.imag_residual,
             "m_used": list(res.m_used),
-            "route": (res.parts or {}).get("route")}
+            "route": (res.parts or {}).get("route"),
+            "rounding_floor": (res.parts or {}).get("rounding_floor")}
 
 
 def _fmt(v):
@@ -379,11 +380,28 @@ def _count(text):
     return n
 
 
+def _m0(text):
+    """argparse type of --m0: an integer >= 10, the ladder's floor."""
+    n = int(text)
+    if n < 10:
+        raise argparse.ArgumentTypeError("expected m0 >= 10, got %d" % n)
+    return n
+
+
+def _tol(text):
+    """argparse type of --tol: a positive finite float."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(
+            "expected a positive finite tolerance, got %s" % text)
+    return tol
+
+
 def _common(sub, m0_default, tol=True):
-    sub.add_argument("--m0", type=int, default=m0_default,
+    sub.add_argument("--m0", type=_m0, default=m0_default,
                      help="starting nodes per component")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-8,
+        sub.add_argument("--tol", type=_tol, default=1e-8,
                          help="convergence tolerance")
     # every flag registered so far shapes the values and goes into the
     # meta line; the output format and path below do not

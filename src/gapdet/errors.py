@@ -46,7 +46,17 @@ class SingularRestrictionError(GapdetError, RuntimeError):
 
 
 class DivisionInstabilityError(GapdetError, RuntimeError):
-    """A determinant ratio cannot be trusted (denominator accuracy lost)."""
+    """A determinant ratio cannot be trusted (denominator accuracy lost).
+
+    ``rounding_floor`` is the relative rounding estimate of the float64 ratio
+    and ``tol`` the tolerance it exceeds, when the error was raised on
+    that comparison.
+    """
+
+    def __init__(self, message, rounding_floor=None, tol=None):
+        super().__init__(message)
+        self.rounding_floor = rounding_floor
+        self.tol = tol
 
 
 class SanityCheckError(GapdetError, RuntimeError):

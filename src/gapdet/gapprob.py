@@ -9,18 +9,28 @@ space-time kernel restricted to the gap set.  Agreement of the two routes
 is the strongest correctness check the package has; the test suite
 exercises it on a parameter grid.
 
-As sigma drops, the ratio's numerator and denominator vanish at matching
-speed while their quotient stays of order one, and the quotient's digits
-fall off the end of float64 long before the quadrature has converged.
-The ratio route therefore switches to the double-double engine (see
-:mod:`gapdet.ddmath`) once sigma <= -3; that path covers real interval
-weights, which is all the deep-overlap scans need.  Complex weights stay
-on the float64 path and degrade honestly through the convergence ladder.
-Both precisions discretize the same kernels on the same components:
-:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`
-read one :class:`gapdet.kernels.TacnodeHKernel` and the Airy denominator
-it lays out on its own edge components, and the route only picks which of
-the two rung functions runs.
+As sigma drops, the ratio's numerator and denominator become
+ill-conditioned together while their quotient stays of order one, and the
+quotient's digits fall off the end of float64 long before the quadrature
+has converged.  The error budget picks the precision: the float64 rung at
+m0 measures the exact 1-norm rcond of both matrices, and the quotient's
+relative rounding floor eps (1/rcond_numerator + 1/rcond_denominator), the
+first-order estimate eps kappa of a dense LU's rounding error without the
+order-n constant of its bound (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 15).
+A floor within the tolerance keeps the ladder in float64, reusing that
+rung; a floor above it sends real interval weights to the double-double
+engine (see :mod:`gapdet.ddmath`), which is all the deep-overlap scans
+need, and raises :class:`DivisionInstabilityError` for complex weights,
+which have no double-double path.  The floor is relative and is not
+scaled by the value: the value is a probability, so meeting the tolerance
+relatively also meets it absolutely, and small probabilities keep their
+relative digits.  Both precisions discretize the same kernels on the
+same components: :func:`gapdet.fredholm.assemble` and
+:func:`gapdet.fredholm.assemble_dd` read one
+:class:`gapdet.kernels.TacnodeHKernel` and the Airy denominator it lays
+out on its own edge components, and the route only picks which of the two
+rung functions runs.
 """
 
 import math
@@ -30,23 +40,21 @@ import numpy as np
 
 from .ddmath import dd_det, dd_div
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
-from .fredholm import assemble_dd, det_at, fredholm_det, ladder
+from .fredholm import (assemble_dd, check_ladder, det_at, determinant,
+                       fredholm_det, inverse_rcond, ladder, matrix_at)
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
                       TacnodeHKernel)
 from .quadrature import DomainComponent
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
            "tacnode_gap_ratio", "tacnode_gap_direct", "generating_function",
-           "SIGMA_WINDOW", "DD_SIGMA"]
+           "SIGMA_WINDOW"]
 
 #: Default stability window for tacnode queries; |sigma| beyond this is
 #: rejected unless the caller forces it.
 SIGMA_WINDOW = 9.0
 
-#: The ratio route switches from float64 to double-double at this sigma.
-DD_SIGMA = -3.0
-
-_DEN_FLOOR = 1e-12
+_EPS = 2.0 ** -52
 _IMAG_TOL = 1e-8
 _PROB_SLACK = 1e-6
 
@@ -130,16 +138,25 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _ratio_rung_f64(kernel, den_kernel, m):
-    num, surrogate = det_at(kernel, m)
-    den, _ = det_at(den_kernel, m)
-    if abs(den) < _DEN_FLOOR:
-        raise DivisionInstabilityError(
-            "denominator %.3e is below %.1e; its float64 digits cannot "
-            "support the ratio" % (abs(den), _DEN_FLOOR))
-    parts = {"route": "float64", "numerator": num, "denominator": den,
-             "cutoff": kernel.cutoff, "norm_surrogate": surrogate}
-    return num / den, parts
+def _ratio_rung_f64(kernel, den_kernel, m, m0_parts=None):
+    """Float64 ratio at m.  The rung at m0, called without ``m0_parts``,
+    measures the exact 1-norm rcond of both matrices and the ratio's
+    relative rounding floor eps (1/rcond_numerator + 1/rcond_denominator);
+    later rungs carry those of ``m0_parts``, the m0 rung's parts.
+    """
+    num_mat, surrogate = matrix_at(kernel, m)
+    den_mat, _ = matrix_at(den_kernel, m)
+    if m0_parts is None:
+        rc_num = inverse_rcond(num_mat)[1]
+        rc_den = inverse_rcond(den_mat)[1]
+        floor = _EPS / rc_num + _EPS / rc_den \
+            if rc_num > 0.0 and rc_den > 0.0 else math.inf
+        m0_parts = {"rounding_floor": floor, "rcond_numerator": rc_num,
+                    "rcond_denominator": rc_den}
+    num, den = determinant(num_mat), determinant(den_mat)
+    return num / den, dict(m0_parts, route="float64", numerator=num,
+                           denominator=den, cutoff=kernel.cutoff,
+                           norm_surrogate=surrogate)
 
 
 def _dd_as_float(mant, exp2):
@@ -191,20 +208,36 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     blocks drop out of the numerator and the ratio collapses to 1; both
     cases run through the ordinary code path as accuracy checks.
 
-    Returns a :class:`DetResult` whose ``parts`` carry both determinants
-    and the route taken.  |sigma| beyond the stability window raises
-    unless ``force_sigma`` is set; a denominator too small for its digits
-    to be trusted raises :class:`DivisionInstabilityError`.
+    The float64 rung at m0 measures the ratio's relative rounding floor
+    (see the module docstring).  At most tol, the ladder stays in float64
+    and reuses that rung; above it, real weights climb the ladder in
+    double-double and complex weights raise
+    :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
+    ``tol``.  Returns a :class:`DetResult` whose ``parts`` carry both
+    determinants, the route taken and the m0 ``rounding_floor``; float64
+    rows add both rconds.  |sigma| beyond the stability window raises
+    unless ``force_sigma`` is set.
     """
     _check_sigma_window(params, force_sigma)
+    check_ladder(m0, tol)
     kernel = TacnodeHKernel(params, spec)
     den_kernel = kernel.denominator()
     weights = [z for _, _, _, z in spec.flat()]
-    if params.sigma <= DD_SIGMA and all(z.imag == 0.0 for z in weights):
-        ratio_rung = _ratio_rung_dd
+    first = _ratio_rung_f64(kernel, den_kernel, m0)
+    floor = first[1]["rounding_floor"]
+    if floor <= tol:
+        res = ladder(lambda m: first if m == m0 else
+                     _ratio_rung_f64(kernel, den_kernel, m, first[1]),
+                     m0, tol)
+    elif all(z.imag == 0.0 for z in weights):
+        res = ladder(lambda m: _ratio_rung_dd(kernel, den_kernel, m),
+                     m0, tol)
+        res.parts["rounding_floor"] = floor
     else:
-        ratio_rung = _ratio_rung_f64
-    res = ladder(lambda m: ratio_rung(kernel, den_kernel, m), m0, tol)
+        raise DivisionInstabilityError(
+            "float64 rounding floor %.3e of the ratio exceeds tol %.3e, "
+            "and complex weights have no double-double route"
+            % (floor, tol), rounding_floor=floor, tol=tol)
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res

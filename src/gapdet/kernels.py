@@ -22,7 +22,7 @@ from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
                      dd_div, dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two,
                      dd_sqr, dd_sub)
 from .errors import DomainError, SingularRestrictionError
-from .fredholm import BlockKernel
+from .fredholm import BlockKernel, inverse_rcond
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
                          map_ray)
 from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
@@ -540,23 +540,19 @@ class FormalTacnodeKernel(BlockKernel):
 
 
 def _factor_restriction(kmat, colw, what):
-    """Inverse of A = I - K diag(colw) and its reciprocal condition number
-    1 / (||A||_1 ||A^-1||_1), computed exactly from the inverse.
+    """Inverse of A = I - K diag(colw) and its exact 1-norm reciprocal
+    condition number (:func:`gapdet.fredholm.inverse_rcond`).
 
     Raises :class:`SingularRestrictionError`, led by ``what``, when A is
     exactly singular or the reciprocal condition number is below 1e-13.
     """
     mat = -kmat * colw[None, :]
     mat[np.diag_indices(len(colw))] += 1.0
-    try:
-        inv = np.linalg.inv(mat)
-        rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1))
-    except np.linalg.LinAlgError:
-        rcond = 0.0
+    inv, rcond = inverse_rcond(mat)
     if not rcond >= 1e-13:
         raise SingularRestrictionError("%s (rcond %.3e)" % (what, rcond),
                                        rcond=rcond)
-    return inv, float(rcond)
+    return inv, rcond
 
 
 class ConditionedKernel:

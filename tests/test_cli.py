@@ -124,6 +124,19 @@ def test_negative_count_exits_3(capsys, argv):
     assert "count >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tw", "--m0", "5"],
+    ["tw", "--tol", "0"],
+    ["tw", "--tol", "nan"],
+], ids=["m0-5", "tol-0", "tol-nan"])
+def test_unusable_m0_or_tol_exits_3(capsys, argv):
+    # no ladder can honour these, so they are argument errors, not rows
+    # that failed numerically
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+
+
 def test_failed_row_exits_2_and_reports(capsys):
     # sigma = 12 is outside the stability window; the row carries the error
     rc, text = run_text(capsys, ["tacnode", "--sigma", "12",
@@ -173,7 +186,9 @@ def test_tacnode_json_diagnostics(capsys):
     assert doc["columns"] == ["sigma", "F_tac", "err", "error"]
     assert doc["meta"].startswith("gapdet 0.1.0 tacnode --sigma -4")
     row = doc["rows"][0]
-    assert row["route"] == "double-double"
+    # float64 keeps about 11 digits here: its rounding floor is below tol
+    assert row["route"] == "float64"
+    assert 0.0 < row["rounding_floor"] <= 1e-8
     assert row["m_used"] == [80]
     assert_allclose(row["F_tac"], 0.00984940930935679, rtol=1e-9)
     assert row["err"] <= 1e-8

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from gapdet.errors import (DomainError, KernelEvaluationError,
                            NonConvergenceError)
 from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
-                             fredholm_det)
+                             fredholm_det, inverse_rcond)
 from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
 from gapdet.kernels import (AiryKernel, GapSpec, TacnodeParams,
                             airy_kernel_matrix)
@@ -107,6 +107,15 @@ def test_determinant_rejects_non_square():
 
 # ---------------------------------------------------------------------------
 # Assembly
+
+def test_inverse_rcond_is_exact_one_norm_rcond():
+    # ||A||_1 = 2 and ||A^-1||_1 = 1001, both from the first column
+    a = np.array([[1.0, 0.0], [1.0, 1e-3]])
+    inv, rcond = inverse_rcond(a)
+    assert_allclose(inv @ a, np.eye(2), rtol=0, atol=1e-12)
+    assert_allclose(rcond, 1.0 / (2.0 * 1001.0), rtol=1e-12)
+    assert inverse_rcond(np.zeros((2, 2))) == (None, 0.0)
+
 
 def test_assemble_zero_kernel_gives_identity():
     mat, surrogate = assemble(ZeroKernel([DomainComponent.finite(0, 1)]),
@@ -226,10 +235,14 @@ def test_norm_surrogate_bounds_probability_like_values():
 
 
 # Every ladder in the package, as (m0, tol) -> DetResult, with a start and
-# a tolerance it cannot meet: the jump kernel converges only slowly, and
-# the float64 tacnode routes at sigma = 0 stall at rounding level, where
-# the estimate's one-ulp floor keeps 1e-17 out of reach even when the last
-# two rungs round to the same float.
+# a tolerance it cannot meet: the jump kernel converges only slowly, the
+# float64 direct route at sigma = 0 stalls at rounding level, where the
+# estimate's one-ulp floor keeps 1e-17 out of reach even when the last two
+# rungs round to the same float, and the ratio route, whose float64
+# rounding floor exceeds 1e-17, climbs in double-double to the same
+# one-ulp floor.  From m0 = 10 the ratio route stays in float64 (its
+# rounding floor is about 3e-15) but its rungs 20 and 40 still differ by
+# about 9e-8.
 def jump_det(m0, tol):
     return fredholm_det(JumpKernel([DomainComponent.finite(0.0, 1.0)]),
                         m0=m0, tol=tol)
@@ -247,6 +260,7 @@ def tacnode_direct(m0, tol):
 
 LADDERS = [pytest.param(jump_det, 10, 1e-14, id="fredholm_det"),
            pytest.param(tacnode_ratio, 40, 1e-17, id="tacnode_gap_ratio"),
+           pytest.param(tacnode_ratio, 10, 1e-8, id="tacnode_gap_ratio_f64"),
            pytest.param(tacnode_direct, 40, 1e-17, id="tacnode_gap_direct")]
 
 
@@ -265,3 +279,13 @@ def test_non_convergence_reports_last_two_values(run, m0, tol):
 def test_m0_floor(run, m0, tol):
     with pytest.raises(DomainError):
         run(5, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("run, m0, _", LADDERS)
+def test_unusable_tol(run, m0, _, tol):
+    # a NaN tolerance would be met by any estimate, and no estimate meets
+    # zero; both are refused before the first rung
+    with pytest.raises(DomainError):
+        run(m0, tol)

@@ -15,8 +15,8 @@ from gapdet.errors import (DivisionInstabilityError, DomainError,
                            SanityCheckError)
 from gapdet.fredholm import (DetResult, assemble, det_at, determinant,
                              fredholm_det)
-from gapdet.gapprob import (DD_SIGMA, SIGMA_WINDOW, _check_probability,
-                            airy_gap, generating_function, pearcey_gap,
+from gapdet.gapprob import (SIGMA_WINDOW, _check_probability, airy_gap,
+                            generating_function, pearcey_gap,
                             tacnode_gap_direct, tacnode_gap_ratio,
                             tracy_widom_F2)
 from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
@@ -176,9 +176,15 @@ def test_tacnode_unit_weight_gives_one():
     z_f64 = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0, 1.0)]]),
                               TacnodeParams(0.0, (0.0,)))
     assert_allclose(z_f64.real, 1.0, rtol=0, atol=1e-9)
+    z_deep = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0, 1.0)]]),
+                               TacnodeParams(-4.0, (0.0,)))
+    assert_allclose(z_deep.real, 1.0, rtol=0, atol=1e-9)
+    # a tolerance below the float64 floor (about 2.4e-9 here) sends the
+    # same row through the double-double assembly's zero column weights
     z_dd = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0, 1.0)]]),
-                             TacnodeParams(-4.0, (0.0,)))
-    assert_allclose(z_dd.real, 1.0, rtol=0, atol=1e-9)
+                             TacnodeParams(-4.0, (0.0,)), tol=1e-11)
+    assert z_dd.parts["route"] == "double-double"
+    assert_allclose(z_dd.real, 1.0, rtol=0, atol=1e-11)
 
 
 def test_tacnode_time_reflection_invariance():
@@ -191,8 +197,8 @@ def test_tacnode_time_reflection_invariance():
 
 
 def test_tacnode_complex_weight_stays_on_float64():
-    # the double-double route takes real weights only, so a complex weight
-    # below DD_SIGMA is computed in float64
+    # at sigma = -4 the float64 rounding floor is within the tolerance, so
+    # a complex weight, which has no double-double route, is computed
     res = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0, 0.5j)]]),
                             TacnodeParams(-4.0, (0.0,)))
     assert res.parts["route"] == "float64"
@@ -200,11 +206,43 @@ def test_tacnode_complex_weight_stays_on_float64():
 
 
 def test_tacnode_complex_weight_instability_is_reported():
-    # complex weights must stay on the float64 path, and at sigma = -5 the
-    # denominator has fallen below what float64 digits can support
+    # complex weights have no double-double route, and at sigma = -5 the
+    # float64 rounding floor of the ratio exceeds the tolerance
     spec = GapSpec([[(-1.0, 1.0, 0.5j)]])
-    with pytest.raises(DivisionInstabilityError):
+    with pytest.raises(DivisionInstabilityError) as info:
         tacnode_gap_ratio(spec, TacnodeParams(-5.0, (0.0,)))
+    assert info.value.tol == 1e-8
+    assert info.value.rounding_floor > info.value.tol
+
+
+def test_tacnode_route_follows_rounding_floor():
+    # at sigma = -3.5 the float64 floor eps (1/rcond_num + 1/rcond_den) is
+    # about 2e-10: within a tolerance of 1e-8, beyond one of 1e-13
+    spec = GapSpec([[(-1.0, 1.0)]])
+    par = TacnodeParams(-3.5, (0.0,))
+    f64 = tacnode_gap_ratio(spec, par, tol=1e-8)
+    assert f64.parts["route"] == "float64"
+    floor = f64.parts["rounding_floor"]
+    assert 1e-13 < floor <= 1e-8
+    assert floor == 2.0 ** -52 * (1.0 / f64.parts["rcond_numerator"]
+                                  + 1.0 / f64.parts["rcond_denominator"])
+    dd = tacnode_gap_ratio(spec, par, tol=1e-13)
+    assert dd.parts["route"] == "double-double"
+    assert dd.parts["rounding_floor"] == floor
+
+
+def test_tacnode_float64_err_estimate_bounds_rounding():
+    # at sigma = -4 float64 keeps about 11 digits of the ratio; its
+    # estimate, floored at rounding_floor |value|, covers the distance to
+    # a double-double value converged to 1e-13
+    spec = GapSpec([[(-1.0, 1.0)]])
+    par = TacnodeParams(-4.0, (0.0,))
+    f64 = tacnode_gap_ratio(spec, par)
+    dd = tacnode_gap_ratio(spec, par, tol=1e-13)
+    assert f64.parts["route"] == "float64"
+    assert dd.parts["route"] == "double-double"
+    assert f64.err_estimate >= f64.parts["rounding_floor"] * abs(f64.real)
+    assert abs(f64.real - dd.real) <= f64.err_estimate
 
 
 def test_tacnode_sigma_window():
@@ -217,7 +255,6 @@ def test_tacnode_sigma_window():
                                force_sigma=True)
     assert_allclose(forced.real, 1.0, rtol=0, atol=1e-9)
     assert abs(SIGMA_WINDOW) == 9.0
-    assert DD_SIGMA == -3.0
 
 
 def test_tacnode_slot_count_mismatch():
