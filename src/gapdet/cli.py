@@ -69,8 +69,8 @@ def _diag(res):
     return {"err": res.err_estimate,
             "imag_residual": res.imag_residual,
             "m_used": list(res.m_used),
-            "route": (res.parts or {}).get("route"),
-            "rounding_floor": (res.parts or {}).get("rounding_floor")}
+            "route": res.parts.get("route"),
+            "rounding_floor": res.parts.get("rounding_floor")}
 
 
 def _fmt(v):

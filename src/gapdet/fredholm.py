@@ -82,23 +82,25 @@ class DetResult:
     estimate eps (1/rcond_numerator + 1/rcond_denominator) of the ratio's
     relative LU rounding error.  That floor is measured once, at m0: rcond
     hardly moves under refinement (for the gap [-1, 1] at sigma = -4 the
-    numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is the node count of the final
-    rung per domain component, and ``norm_surrogate`` the final rung's max
-    row sum of the weighted kernel matrix (an operator-norm stand-in used
-    by sanity checks).  ``parts`` holds whatever else the final rung
-    reported.
+    numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
+    the node count of the final rung per domain component, on every route.
+    ``parts`` holds whatever else the final rung reported, and is always a
+    dict.  ``imag_residual`` is |Im value|, which is quadrature noise when
+    the value is a real probability.
     """
 
     value: complex
     err_estimate: float
-    imag_residual: float
     m_used: tuple
-    norm_surrogate: float
-    parts: dict = field(default=None, compare=False)
+    parts: dict = field(default_factory=dict, compare=False)
 
     @property
     def real(self):
         return float(self.value.real)
+
+    @property
+    def imag_residual(self):
+        return abs(self.value.imag)
 
 
 def assemble(kernel, rule):
@@ -131,9 +133,8 @@ def assemble(kernel, rule):
                     block_row=i, block_col=j, x=x_bad, y=y_bad) from exc
             np.multiply(np.asarray(block, dtype=complex), -colw[j][None, :],
                         out=out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]])
-    surrogate = float(np.max(np.sum(np.abs(out), axis=1))) if n else 0.0
     out[np.diag_indices(n)] += 1.0
-    return out, surrogate
+    return out
 
 
 def assemble_dd(kernel, m):
@@ -142,8 +143,7 @@ def assemble_dd(kernel, m):
     Every component must be finite; it is mapped affinely onto
     :func:`gapdet.ddmath.dd_gauss_legendre` with the span, the points and
     the column weights carried in double-double.  Column weights must be
-    real.  Returns the hi and lo words of I - K W and the surrogate of
-    :func:`assemble`, taken over the hi words.
+    real.  Returns the hi and lo words of I - K W.
     """
     t, w = dd_gauss_legendre(m)
     pts = []
@@ -169,11 +169,10 @@ def assemble_dd(kernel, m):
             blk = dd_mul(kernel.entry_dd(i, j, pts[i], pts[j]), colw[j])
             hi[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[0]
             lo[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[1]
-    surrogate = float(np.max(np.sum(np.abs(hi), axis=1))) if n else 0.0
     hi, lo = -hi, -lo
     idx = np.arange(n)
     hi[idx, idx], lo[idx, idx] = dd_add_f((hi[idx, idx], lo[idx, idx]), 1.0)
-    return hi, lo, surrogate
+    return hi, lo
 
 
 def _locate_failure(kernel, i, j, xs, ys):
@@ -219,15 +218,13 @@ def inverse_rcond(matrix):
 
 def matrix_at(kernel, m):
     """The matrix factored for det(I - K) at a fixed per-component node
-    count (assembled, then condensed), and its norm surrogate."""
-    mat, surrogate = assemble(kernel, gauss_legendre(m))
-    return kernel.condense(mat), surrogate
+    count: assembled, then condensed."""
+    return kernel.condense(assemble(kernel, gauss_legendre(m)))
 
 
 def det_at(kernel, m):
     """Discretized det(I - K) at a fixed per-component node count."""
-    mat, surrogate = matrix_at(kernel, m)
-    return determinant(mat), surrogate
+    return determinant(matrix_at(kernel, m))
 
 
 def check_ladder(m0, tol):
@@ -240,20 +237,20 @@ def check_ladder(m0, tol):
                           % tol)
 
 
-def ladder(rung, m0, tol, n_components=1):
+def ladder(rung, m0, tol, n_components):
     """Refine ``rung`` until the Cauchy estimate meets ``tol``.
 
     ``rung(m)`` evaluates the quantity with m nodes per component and
-    returns ``(value, parts)``, where ``parts`` is a dict holding at least
-    ``norm_surrogate``.  The ladder runs m0 and 2*m0, and 4*m0 once if
-    needed; it raises :class:`NonConvergenceError`, carrying the last two
-    values, when even 4*m0 leaves the estimate above tol.  The estimate is
-    the difference of the last two rungs, floored at one ulp of the last
-    value and, when the rung reports a relative ``rounding_floor``, at that
-    floor times |value|, so a tolerance below either is never met.  The
-    :class:`DetResult` takes its value, surrogate and remaining parts from
-    the final rung and reports ``(m,) * n_components`` as ``m_used``.
-    :func:`check_ladder` vets m0 and tol before the first rung.
+    returns ``(value, parts)``, where ``parts`` is a dict of diagnostics.
+    The ladder runs m0 and 2*m0, and 4*m0 once if needed; it raises
+    :class:`NonConvergenceError`, carrying the last two values, when even
+    4*m0 leaves the estimate above tol.  The estimate is the difference of
+    the last two rungs, floored at one ulp of the last value and, when the
+    rung reports a relative ``rounding_floor``, at that floor times
+    |value|, so a tolerance below either is never met.  The
+    :class:`DetResult` takes its value and parts from the final rung and
+    reports ``(m,) * n_components`` as ``m_used``.  :func:`check_ladder`
+    vets m0 and tol before the first rung.
     """
     check_ladder(m0, tol)
 
@@ -275,19 +272,11 @@ def ladder(rung, m0, tol, n_components=1):
                 "not converged: err(v(%d), v(%d)) = %.3e > %.3e"
                 % (m, m // 2, err, tol),
                 values=(prev, curr), err_estimate=err)
-    value = complex(curr)
-    surrogate = parts.pop("norm_surrogate")
-    return DetResult(value=value,
-                     err_estimate=err,
-                     imag_residual=abs(value.imag),
-                     m_used=(m,) * n_components,
-                     norm_surrogate=surrogate,
-                     parts=parts)
+    return DetResult(value=complex(curr), err_estimate=err,
+                     m_used=(m,) * n_components, parts=parts)
 
 
 def fredholm_det(kernel, m0=40, tol=1e-8):
     """det(I - K) refined by :func:`ladder` over :func:`det_at`."""
-    def rung(m):
-        value, surrogate = det_at(kernel, m)
-        return value, {"norm_surrogate": surrogate}
-    return ladder(rung, m0, tol, n_components=len(kernel.domains))
+    return ladder(lambda m: (det_at(kernel, m), {}), m0, tol,
+                  len(kernel.domains))

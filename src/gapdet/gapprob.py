@@ -144,8 +144,8 @@ def _ratio_rung_f64(kernel, den_kernel, m, m0_parts=None):
     relative rounding floor eps (1/rcond_numerator + 1/rcond_denominator);
     later rungs carry those of ``m0_parts``, the m0 rung's parts.
     """
-    num_mat, surrogate = matrix_at(kernel, m)
-    den_mat, _ = matrix_at(den_kernel, m)
+    num_mat = matrix_at(kernel, m)
+    den_mat = matrix_at(den_kernel, m)
     if m0_parts is None:
         rc_num = inverse_rcond(num_mat)[1]
         rc_den = inverse_rcond(den_mat)[1]
@@ -155,8 +155,7 @@ def _ratio_rung_f64(kernel, den_kernel, m, m0_parts=None):
                     "rcond_denominator": rc_den}
     num, den = determinant(num_mat), determinant(den_mat)
     return num / den, dict(m0_parts, route="float64", numerator=num,
-                           denominator=den, cutoff=kernel.cutoff,
-                           norm_surrogate=surrogate)
+                           denominator=den, cutoff=kernel.cutoff)
 
 
 def _dd_as_float(mant, exp2):
@@ -175,10 +174,8 @@ def _dd_log10(mant, exp2):
 
 def _ratio_rung_dd(kernel, den_kernel, m):
     with _DD_TURN:
-        nh, nl, surrogate = assemble_dd(kernel, m)
-        mant_n, e_n = dd_det(nh, nl)
-        dh, dl, _ = assemble_dd(den_kernel, m)
-        mant_d, e_d = dd_det(dh, dl)
+        mant_n, e_n = dd_det(*assemble_dd(kernel, m))
+        mant_d, e_d = dd_det(*assemble_dd(den_kernel, m))
     if mant_d[0] == 0.0:
         raise DivisionInstabilityError(
             "denominator is singular at the working precision")
@@ -190,7 +187,7 @@ def _ratio_rung_dd(kernel, den_kernel, m):
              "denominator": _dd_as_float(mant_d, e_d),
              "log10_numerator": _dd_log10(mant_n, e_n),
              "log10_denominator": _dd_log10(mant_d, e_d),
-             "cutoff": kernel.cutoff, "norm_surrogate": surrogate}
+             "cutoff": kernel.cutoff}
     return ratio, parts
 
 
@@ -223,15 +220,16 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     kernel = TacnodeHKernel(params, spec)
     den_kernel = kernel.denominator()
     weights = [z for _, _, _, z in spec.flat()]
+    n_comp = len(kernel.domains)
     first = _ratio_rung_f64(kernel, den_kernel, m0)
     floor = first[1]["rounding_floor"]
     if floor <= tol:
         res = ladder(lambda m: first if m == m0 else
                      _ratio_rung_f64(kernel, den_kernel, m, first[1]),
-                     m0, tol)
+                     m0, tol, n_comp)
     elif all(z.imag == 0.0 for z in weights):
         res = ladder(lambda m: _ratio_rung_dd(kernel, den_kernel, m),
-                     m0, tol)
+                     m0, tol, n_comp)
         res.parts["rounding_floor"] = floor
     else:
         raise DivisionInstabilityError(
@@ -262,12 +260,12 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
 
     def rung(m):
         kernel = TacnodeDirectKernel(params, spec, m)
-        val, surrogate = det_at(kernel, m)
-        return val, {"route": "direct", "norm_surrogate": surrogate,
-                     "resolvent_rcond": kernel.conditioned.rcond}
+        return det_at(kernel, m), {"route": "direct",
+                                   "resolvent_rcond": kernel.conditioned.rcond}
 
-    res = ladder(rung, m0, tol)
-    if all(z == 0.0 for _, _, _, z in spec.flat()):
+    gaps = spec.flat()
+    res = ladder(rung, m0, tol, len(gaps))
+    if all(z == 0.0 for _, _, _, z in gaps):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
 

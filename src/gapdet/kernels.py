@@ -268,10 +268,6 @@ class GapSpec:
     def n_times(self):
         return len(self.per_time)
 
-    @property
-    def all_empty(self):
-        return all(len(slot) == 0 for slot in self.per_time)
-
     def flat(self):
         """Intervals as (time_index, a, b, z) in assembly order."""
         out = []

@@ -30,6 +30,10 @@ _MAX_NODES = 512
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
 
+#: Scale of the ray map: it puts the median node this far past the start,
+#: which suits kernels that decay within a few units of their left endpoint.
+_RAY_SCALE = 4.0
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -144,19 +148,13 @@ def map_contour_imag(s, variant="tan"):
     return point, deriv
 
 
-def map_ray(s, start, scale=4.0):
-    """Semi-infinite ray [start, inf) via start + scale*s/(1-s).
-
-    ``scale`` sets where the map places the median node; 4.0 suits kernels
-    that decay within a few units of the left endpoint.
-    """
+def map_ray(s, start):
+    """Semi-infinite ray [start, inf) via start + _RAY_SCALE*s/(1-s)."""
     if not np.isfinite(start):
         raise DomainError("ray start must be finite")
-    if not scale > 0.0:
-        raise DomainError("ray scale must be positive")
     s = _check_open_unit(s)
-    point = start + scale * s / (1.0 - s)
-    deriv = scale / (1.0 - s) ** 2
+    point = start + _RAY_SCALE * s / (1.0 - s)
+    deriv = _RAY_SCALE / (1.0 - s) ** 2
     return point, deriv
 
 
@@ -172,7 +170,6 @@ class DomainComponent:
     kind: str
     a: float = 0.0
     b: float = 0.0
-    scale: float = 4.0
     variant: str = "tan"
     label: str = ""
 
@@ -185,13 +182,11 @@ class DomainComponent:
                                label=label or "[%g,%g]" % (a, b))
 
     @staticmethod
-    def ray(start, scale=4.0, label=""):
+    def ray(start, label=""):
         """Ray [start, inf) through the map :func:`map_ray`."""
         if not np.isfinite(start):
             raise DomainError("ray start must be finite")
-        if not scale > 0.0:
-            raise DomainError("ray scale must be positive")
-        return DomainComponent(kind="ray", a=float(start), scale=float(scale),
+        return DomainComponent(kind="ray", a=float(start),
                                label=label or "[%g,inf)" % start)
 
     @staticmethod
@@ -216,7 +211,7 @@ class DomainComponent:
             return self.a + (self.b - self.a) * t, \
                 np.full_like(t, self.b - self.a)
         if self.kind == "ray":
-            return map_ray(t, self.a, self.scale)
+            return map_ray(t, self.a)
         if self.kind == "contour_right":
             return map_contour_right(t)
         if self.kind == "contour_left":

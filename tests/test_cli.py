@@ -189,7 +189,8 @@ def test_tacnode_json_diagnostics(capsys):
     # float64 keeps about 11 digits here: its rounding floor is below tol
     assert row["route"] == "float64"
     assert 0.0 < row["rounding_floor"] <= 1e-8
-    assert row["m_used"] == [80]
+    # per component: R+, the edge split at the origin, and the gap
+    assert row["m_used"] == [80] * 4
     assert_allclose(row["F_tac"], 0.00984940930935679, rtol=1e-9)
     assert row["err"] <= 1e-8
     assert "err_estimate" not in row

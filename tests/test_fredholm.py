@@ -118,10 +118,9 @@ def test_inverse_rcond_is_exact_one_norm_rcond():
 
 
 def test_assemble_zero_kernel_gives_identity():
-    mat, surrogate = assemble(ZeroKernel([DomainComponent.finite(0, 1)]),
-                              gauss_legendre(12))
+    mat = assemble(ZeroKernel([DomainComponent.finite(0, 1)]),
+                   gauss_legendre(12))
     assert_allclose(mat, np.eye(12), rtol=0, atol=0)
-    assert surrogate == 0.0
 
 
 def test_block_kernel_weight_count_mismatch():
@@ -221,17 +220,22 @@ def test_err_estimate_shrinks_on_refinement():
     # error: from m = 10 on this rank-one determinant is exact to a few ulp,
     # and the order of two such differences is decided by the LU's rounding
     ker = SeparableKernel(np.cos, np.sin, [DomainComponent.finite(0.0, 1.0)])
-    d2, _ = det_at(ker, 2)
-    d4, _ = det_at(ker, 4)
-    d8, _ = det_at(ker, 8)
+    d2 = det_at(ker, 2)
+    d4 = det_at(ker, 4)
+    d8 = det_at(ker, 8)
     assert 1e-14 < abs(d8 - d4) <= abs(d4 - d2)
 
 
-def test_norm_surrogate_bounds_probability_like_values():
-    # contraction: surrogate < 1 forces det(I - K) into (0, 2)
-    res = fredholm_det(AiryKernel([DomainComponent.finite(0.0, 2.0)]), m0=20)
-    assert res.norm_surrogate < 1.0
-    assert 0.0 < res.real < 2.0
+def test_rcond_bounds_probability_like_values():
+    # contraction: s = ||K W||_1 < 1 bounds ||A||_1 <= 1 + s and, by the
+    # Neumann series, ||A^-1||_1 <= 1 / (1 - s) for A = I - K W, so rcond
+    # is at least (1 - s) / (1 + s) and det(I - K) lies in (0, 2)
+    ker = AiryKernel([DomainComponent.finite(0.0, 2.0)])
+    mat = assemble(ker, gauss_legendre(20))
+    s = np.linalg.norm(np.eye(20) - mat, 1)
+    assert s < 1.0
+    assert inverse_rcond(mat)[1] >= (1.0 - s) / (1.0 + s)
+    assert 0.0 < fredholm_det(ker, m0=20).real < 2.0
 
 
 # Every ladder in the package, as (m0, tol) -> DetResult, with a start and

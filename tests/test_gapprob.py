@@ -24,10 +24,8 @@ from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
 from gapdet.quadrature import DomainComponent, gauss_legendre
 
 
-def det_result(value, imag_residual=0.0):
-    return DetResult(value=complex(value), err_estimate=0.0,
-                     imag_residual=imag_residual, m_used=(40,),
-                     norm_surrogate=0.0, parts={})
+def det_result(value):
+    return DetResult(complex(value), 0.0, (40,))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +99,8 @@ def test_pearcey_branch_elimination_matches_full_determinant():
     # the full three-component matrix on the same rule is the reference
     ker = PearceyKernel(PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0)))
     for m in (60, 120):
-        full = determinant(assemble(ker, gauss_legendre(m))[0])
-        assert abs(det_at(ker, m)[0] - full) <= 1e-13
+        full = determinant(assemble(ker, gauss_legendre(m)))
+        assert abs(det_at(ker, m) - full) <= 1e-13
 
 
 def test_pearcey_no_endpoints_gives_one():
@@ -151,9 +149,22 @@ def test_tacnode_deep_sigma_switches_to_double_double():
     res = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0)]]),
                             TacnodeParams(-5.0, (0.0,)))
     assert res.parts["route"] == "double-double"
+    assert len(res.m_used) == 4
     assert_allclose(res.real, 0.0034594797598081115, rtol=1e-9, atol=0)
     # the denominator alone is far below anything float64 could divide by
     assert res.parts["log10_denominator"] < -15.0
+
+
+def test_tacnode_m_used_per_component():
+    # one entry per component the ladder refined: on the ratio route R+,
+    # the edge's two pieces either side of the origin and the gap, on the
+    # direct route each gap interval
+    ratio = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0)]]),
+                              TacnodeParams(-4.0, (0.0,)))
+    assert ratio.m_used == (80,) * 4
+    two_gaps = GapSpec([[(-1.0, -0.2), (0.3, 1.0)]])
+    direct = tacnode_gap_direct(two_gaps, TacnodeParams(0.0, (0.0,)))
+    assert direct.m_used == (80, 80)
 
 
 def test_tacnode_weighted_routes_agree():
@@ -314,5 +325,5 @@ def test_check_probability_accepts_and_rejects():
     with pytest.raises(SanityCheckError):
         _check_probability(det_result(-0.01), "negative")
     with pytest.raises(SanityCheckError):
-        _check_probability(det_result(0.5, imag_residual=1e-6),
+        _check_probability(det_result(0.5 + 1e-6j),
                            "imaginary contamination")

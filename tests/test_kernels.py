@@ -74,7 +74,7 @@ def test_airy_kernel_accurate_through_diagonal_switch():
 def test_airy_kernel_factorization():
     # independent representation: K(x, y) = int_0^inf Ai(x+u) Ai(y+u) du
     rule = gauss_legendre(200)
-    u, du = map_ray(rule.nodes, 0.0, 4.0)
+    u, du = map_ray(rule.nodes, 0.0)
     for x, y in ((0.5, 1.0), (-1.0, 0.3)):
         integral = np.sum(rule.weights * du
                           * airy_ai(x + u) * airy_ai(y + u))
@@ -169,7 +169,6 @@ def test_pearcey_params_validation():
 def test_gap_spec_normalization():
     spec = GapSpec([[(1.0, 2.0), (-1.0, 0.0)], []])
     assert spec.n_times == 2
-    assert not spec.all_empty
     assert spec.flat() == [(0, -1.0, 0.0, 0.0), (0, 1.0, 2.0, 0.0)]
     merged = GapSpec([[(0.0, 1.0), (0.5, 2.0)]])
     assert merged.flat() == [(0, 0.0, 2.0, 0.0)]
@@ -177,7 +176,7 @@ def test_gap_spec_normalization():
         GapSpec([[(0.0, 1.0, 0.2), (0.5, 2.0, 0.8)]])
     with pytest.raises(DomainError):
         GapSpec([[(1.0, 1.0)]])
-    assert GapSpec([[], []]).all_empty
+    assert GapSpec([[], []]).flat() == []
 
 
 def test_tacnode_params_validation():
@@ -286,16 +285,15 @@ def test_double_double_assembly_matches_float64(times, per_time):
     # one component layout, two precisions: the high parts of the
     # double-double matrices must agree with the float64 assembly of the
     # same kernels on the same components (heat-kernel blocks and (1 - z)
-    # column weights included), and so must the norm surrogates
+    # column weights included)
     par = TacnodeParams(-1.0, times)
     ker = TacnodeHKernel(par, GapSpec(per_time))
     for kernel in (ker, ker.denominator()):
-        mat, surrogate = assemble(kernel, gauss_legendre(24))
-        hi, lo, surrogate_dd = assemble_dd(kernel, 24)
+        mat = assemble(kernel, gauss_legendre(24))
+        hi, lo = assemble_dd(kernel, 24)
         assert hi.shape == mat.shape
         assert np.max(np.abs(mat.real - hi)) < 1e-13
         assert np.max(np.abs(lo)) < 1e-15
-        assert abs(surrogate_dd - surrogate) <= 1e-13 * surrogate
 
 
 @pytest.mark.parametrize("case", ["complex-weight", "ray"])
@@ -340,7 +338,7 @@ def test_coupling_consistency_with_direct_quadrature():
     # coupling = shifted Airy minus the Airy-transformed reflection; at
     # (0, 0, 0) the subtracted term is int_0^inf 2^(1/6) Ai(2^(1/3) v) Ai(v) dv
     rule = gauss_legendre(200)
-    v, dv = map_ray(rule.nodes, 0.0, 4.0)
+    v, dv = map_ray(rule.nodes, 0.0)
     integral = np.sum(rule.weights * dv * 2.0 ** (1.0 / 6.0)
                       * airy_ai(CBRT2 * v) * airy_ai(v))
     got = converged_inner(coupling_matrix, 0.0, [0.0], [0.0])[0, 0]

@@ -81,7 +81,7 @@ MAPS = [
     ("left", map_contour_left),
     ("imag-tan", lambda s: map_contour_imag(s, "tan")),
     ("imag-rational", lambda s: map_contour_imag(s, "rational")),
-    ("ray", lambda s: map_ray(s, -2.0, 4.0)),
+    ("ray", lambda s: map_ray(s, -2.0)),
 ]
 
 
@@ -135,9 +135,9 @@ def test_imag_axis_unknown_variant():
 
 
 def test_ray_map_values_and_guards():
-    pt, _ = map_ray(np.array([0.5]), 1.5, 4.0)
+    pt, _ = map_ray(np.array([0.5]), 1.5)
     assert pt[0] == 1.5 + 4.0
-    pt, _ = map_ray(np.array([1e-12]), -3.0, 4.0)
+    pt, _ = map_ray(np.array([1e-12]), -3.0)
     assert abs(pt[0] - (-3.0)) < 1e-10
     with pytest.raises(DomainError):
         map_ray(np.array([0.0]), 0.0)
@@ -145,14 +145,12 @@ def test_ray_map_values_and_guards():
         map_ray(np.array([1.0]), 0.0)
     with pytest.raises(DomainError):
         map_ray(np.array([0.5]), np.inf)
-    with pytest.raises(DomainError):
-        map_ray(np.array([0.5]), 0.0, scale=-1.0)
 
 
 def test_ray_rule_integrates_exponential():
     # int_0^inf exp(-x) dx = 1 probes the composed map + rule
     rule = gauss_legendre(40)
-    pt, dp = map_ray(rule.nodes, 0.0, 4.0)
+    pt, dp = map_ray(rule.nodes, 0.0)
     got = np.sum(rule.weights * dp * np.exp(-pt))
     assert abs(got - 1.0) < 1e-8
 
