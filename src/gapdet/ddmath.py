@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DivisionInstabilityError, DomainError
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -518,13 +518,20 @@ def dd_gauss_legendre(m):
 
 # ------------------------------------------------------------ determinant
 
-def dd_det(a_hi, a_lo):
+def dd_det(a_hi, a_lo, lead=0):
     """Determinant of a double-double matrix by LU with partial pivoting.
 
     Returns ``(mant, exp2)``: ``mant`` a scalar double-double pair with
-    0.5 <= |mant| < 1 (or exactly zero) and determinant = mant * 2^exp2.
-    The split representation matters because the determinants this is used
-    for can underflow float64 on their own.
+    0.5 <= |mant| < 1 (or exactly zero) and determinant = mant * 2^exp2;
+    an empty product is ``(1.0, 0.0), 0``.  The split representation
+    matters because the determinants this is used for can underflow
+    float64 on their own.
+
+    With ``lead = k`` the first k columns take their pivots from the
+    leading k rows only, which leaves the Schur complement of the leading
+    k x k block in the trailing rows, and only the remaining pivots are
+    multiplied: the result is det(A) / det(A[:k, :k]).  An exactly zero
+    pivot in the leading block raises :class:`DivisionInstabilityError`.
     """
     hi = np.array(a_hi, dtype=float, copy=True)
     lo = np.array(a_lo, dtype=float, copy=True)
@@ -533,20 +540,28 @@ def dd_det(a_hi, a_lo):
     exp2 = 0
     sign = 1.0
     for k in range(n):
-        p = int(np.argmax(np.abs(hi[k:, k]))) + k
+        rows = lead if k < lead else n
+        p = int(np.argmax(np.abs(hi[k:rows, k]))) + k
         if hi[p, k] == 0.0 and lo[p, k] == 0.0:
+            if k < lead:
+                raise DivisionInstabilityError(
+                    "leading %d x %d block is singular at the working "
+                    "precision" % (lead, lead))
             return (0.0, 0.0), 0
         if p != k:
             hi[[k, p], k:] = hi[[p, k], k:]
             lo[[k, p], k:] = lo[[p, k], k:]
-            sign = -sign
+            if k >= lead:       # a leading swap flips both determinants
+                sign = -sign
         piv = (hi[k, k], lo[k, k])
-        mp_, ep_ = np.frexp(piv[0])
-        mant = dd_mul(mant, (float(mp_), float(np.ldexp(piv[1], -int(ep_)))))
-        exp2 += int(ep_)
-        mm, em = np.frexp(mant[0])
-        mant = (float(mm), float(np.ldexp(mant[1], -int(em))))
-        exp2 += int(em)
+        if k >= lead:
+            mp_, ep_ = np.frexp(piv[0])
+            mant = dd_mul(mant, (float(mp_),
+                                 float(np.ldexp(piv[1], -int(ep_)))))
+            exp2 += int(ep_)
+            mm, em = np.frexp(mant[0])
+            mant = (float(mm), float(np.ldexp(mant[1], -int(em))))
+            exp2 += int(em)
         if k + 1 < n:
             col = (hi[k + 1:, k], lo[k + 1:, k])
             mult = dd_div(col, piv)

@@ -46,7 +46,8 @@ class BlockKernel:
     columns (generating-function weights 1 - z; 1.0 each by default).
     Subclasses implement ``entry(i, j, x, y)``, which receives 1-d arrays of
     points on components i and j and returns the (len(x), len(y)) matrix of
-    kernel values.  Kernels that also assemble in double-double implement
+    kernel values.  A kernel that also assembles in double-double (today
+    only :class:`gapdet.kernels.TacnodeHKernel`) implements
     ``entry_dd(i, j, x, y)``, the same matrix with (hi, lo) pairs in and
     out.  ``condense(matrix)`` may replace the assembled float64 matrix by a
     smaller one with the same determinant before the LU; the default keeps
@@ -80,9 +81,11 @@ class DetResult:
     confirm it only to its last bit.  On float64 tacnode ratios it is also
     at least ``parts["rounding_floor"]`` times |value|, the first-order
     estimate eps (1/rcond_numerator + 1/rcond_denominator) of the ratio's
-    relative LU rounding error.  That floor is measured once, at m0: rcond
-    hardly moves under refinement (for the gap [-1, 1] at sigma = -4 the
-    numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
+    relative LU rounding error, with rcond_denominator that of the
+    numerator's leading (R+, edge) block, whose determinant is the
+    denominator.  That floor is measured once, at m0: rcond hardly moves
+    under refinement (for the gap [-1, 1] at sigma = -4 the numerator's is
+    7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
     the node count of the final rung per domain component, on every route.
     ``parts`` holds whatever else the final rung reported, and is always a
     dict.  ``imag_residual`` is |Im value|, which is quadrature noise when

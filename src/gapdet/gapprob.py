@@ -9,12 +9,15 @@ space-time kernel restricted to the gap set.  Agreement of the two routes
 is the strongest correctness check the package has; the test suite
 exercises it on a parameter grid.
 
-As sigma drops, the ratio's numerator and denominator become
-ill-conditioned together while their quotient stays of order one, and the
-quotient's digits fall off the end of float64 long before the quadrature
-has converged.  The error budget picks the precision: the float64 rung at
-m0 measures the exact 1-norm rcond of both matrices, and the quotient's
-relative rounding floor eps (1/rcond_numerator + 1/rcond_denominator), the
+The ratio is one determinant.  The numerator matrix N = I - K W leads with
+its (R+, edge) block L, whose determinant is the Airy denominator
+F2(sigma_tilde) on the numerator's own rule, so the ratio is det S for the
+gap block's Schur complement S = N_GG - N_GL L^-1 N_LG.  As sigma drops, N
+and L become ill-conditioned together while det S stays of order one, and
+its digits fall off the end of float64 long before the quadrature has
+converged.  The error budget picks the precision: the float64 rung at m0
+measures the exact 1-norm rcond of N and of L, and the ratio's relative
+rounding floor eps (1/rcond_numerator + 1/rcond_denominator), the
 first-order estimate eps kappa of a dense LU's rounding error without the
 order-n constant of its bound (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 15).
@@ -25,12 +28,10 @@ need, and raises :class:`DivisionInstabilityError` for complex weights,
 which have no double-double path.  The floor is relative and is not
 scaled by the value: the value is a probability, so meeting the tolerance
 relatively also meets it absolutely, and small probabilities keep their
-relative digits.  Both precisions discretize the same kernels on the
-same components: :func:`gapdet.fredholm.assemble` and
-:func:`gapdet.fredholm.assemble_dd` read one
-:class:`gapdet.kernels.TacnodeHKernel` and the Airy denominator it lays
-out on its own edge components, and the route only picks which of the two
-rung functions runs.
+relative digits.  Both precisions discretize one
+:class:`gapdet.kernels.TacnodeHKernel` on the same components, through
+:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`,
+and the route only picks which of the two rung functions runs.
 """
 
 import math
@@ -38,12 +39,12 @@ import threading
 
 import numpy as np
 
-from .ddmath import dd_det, dd_div
+from .ddmath import dd_det
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
 from .fredholm import (assemble_dd, check_ladder, det_at, determinant,
                        fredholm_det, inverse_rcond, ladder, matrix_at)
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
-                      TacnodeHKernel)
+                      TacnodeHKernel, check_slots)
 from .quadrature import DomainComponent
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
@@ -138,57 +139,33 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _ratio_rung_f64(kernel, den_kernel, m, m0_parts=None):
-    """Float64 ratio at m.  The rung at m0, called without ``m0_parts``,
-    measures the exact 1-norm rcond of both matrices and the ratio's
-    relative rounding floor eps (1/rcond_numerator + 1/rcond_denominator);
-    later rungs carry those of ``m0_parts``, the m0 rung's parts.
+def _ratio_rung_f64(kernel, m, m0_parts=None):
+    """Float64 ratio det S at m.  The rung at m0, called without
+    ``m0_parts``, measures the exact 1-norm rcond of N and of its leading
+    block L and the ratio's relative rounding floor
+    eps (1/rcond_numerator + 1/rcond_denominator); later rungs carry those
+    of ``m0_parts``, the m0 rung's parts.
     """
-    num_mat = matrix_at(kernel, m)
-    den_mat = matrix_at(den_kernel, m)
+    mat = matrix_at(kernel, m)
+    k = kernel.n_edge * m
+    lead = mat[:k, :k]
+    schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
     if m0_parts is None:
-        rc_num = inverse_rcond(num_mat)[1]
-        rc_den = inverse_rcond(den_mat)[1]
+        rc_num = inverse_rcond(mat)[1]
+        rc_den = inverse_rcond(lead)[1]
         floor = _EPS / rc_num + _EPS / rc_den \
             if rc_num > 0.0 and rc_den > 0.0 else math.inf
         m0_parts = {"rounding_floor": floor, "rcond_numerator": rc_num,
                     "rcond_denominator": rc_den}
-    num, den = determinant(num_mat), determinant(den_mat)
-    return num / den, dict(m0_parts, route="float64", numerator=num,
-                           denominator=den, cutoff=kernel.cutoff)
+    return determinant(schur), dict(m0_parts, route="float64",
+                                    cutoff=kernel.cutoff)
 
 
-def _dd_as_float(mant, exp2):
-    """Best float64 rendering of mant * 2^exp2 (0.0 on underflow)."""
-    try:
-        return math.ldexp(float(mant[0]), int(exp2))
-    except OverflowError:
-        return math.inf if mant[0] > 0 else -math.inf
-
-
-def _dd_log10(mant, exp2):
-    if mant[0] == 0.0:
-        return -math.inf
-    return math.log10(abs(float(mant[0]))) + int(exp2) * math.log10(2.0)
-
-
-def _ratio_rung_dd(kernel, den_kernel, m):
+def _ratio_rung_dd(kernel, m):
     with _DD_TURN:
-        mant_n, e_n = dd_det(*assemble_dd(kernel, m))
-        mant_d, e_d = dd_det(*assemble_dd(den_kernel, m))
-    if mant_d[0] == 0.0:
-        raise DivisionInstabilityError(
-            "denominator is singular at the working precision")
-    q = dd_div((np.asarray(mant_n[0]), np.asarray(mant_n[1])),
-               (np.asarray(mant_d[0]), np.asarray(mant_d[1])))
-    ratio = float(q[0]) * 2.0 ** (e_n - e_d)
-    parts = {"route": "double-double",
-             "numerator": _dd_as_float(mant_n, e_n),
-             "denominator": _dd_as_float(mant_d, e_d),
-             "log10_numerator": _dd_log10(mant_n, e_n),
-             "log10_denominator": _dd_log10(mant_d, e_d),
-             "cutoff": kernel.cutoff}
-    return ratio, parts
+        mant, exp2 = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+    return math.ldexp(mant[0], exp2), {"route": "double-double",
+                                       "cutoff": kernel.cutoff}
 
 
 def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
@@ -197,39 +174,38 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     The numerator is the coupled block kernel restricted to
     [0, X] and [sigma_tilde, X] plus the gap intervals, with interval
     columns weighted by (1 - z); the denominator is the Airy kernel on
-    [sigma_tilde, X].  Numerator and denominator share the rule family
-    and the cutoff X and are refined in lockstep, so that their
-    discretization errors stay correlated and partially cancel.
+    [sigma_tilde, X].  The denominator is the numerator's own leading
+    (R+, edge) block L, so the ratio is computed as one determinant, det S
+    of the gap block's Schur complement (see the module docstring), and
+    both determinants share the rule and the cutoff X by construction.
 
-    With every interval empty, or every weight at z = 1, the interval
-    blocks drop out of the numerator and the ratio collapses to 1; both
-    cases run through the ordinary code path as accuracy checks.
+    With every interval empty, or every weight at z = 1, S is 0 x 0 or
+    the identity and the ratio is exactly 1; both cases run through the
+    ordinary code path as accuracy checks.
 
     The float64 rung at m0 measures the ratio's relative rounding floor
     (see the module docstring).  At most tol, the ladder stays in float64
     and reuses that rung; above it, real weights climb the ladder in
     double-double and complex weights raise
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
-    ``tol``.  Returns a :class:`DetResult` whose ``parts`` carry both
-    determinants, the route taken and the m0 ``rounding_floor``; float64
-    rows add both rconds.  |sigma| beyond the stability window raises
+    ``tol``.  Returns a :class:`DetResult` whose ``parts`` carry the route
+    taken, the cutoff and the m0 ``rounding_floor``; float64 rows add the
+    rconds of N and L.  |sigma| beyond the stability window raises
     unless ``force_sigma`` is set.
     """
     _check_sigma_window(params, force_sigma)
     check_ladder(m0, tol)
     kernel = TacnodeHKernel(params, spec)
-    den_kernel = kernel.denominator()
     weights = [z for _, _, _, z in spec.flat()]
     n_comp = len(kernel.domains)
-    first = _ratio_rung_f64(kernel, den_kernel, m0)
+    first = _ratio_rung_f64(kernel, m0)
     floor = first[1]["rounding_floor"]
     if floor <= tol:
         res = ladder(lambda m: first if m == m0 else
-                     _ratio_rung_f64(kernel, den_kernel, m, first[1]),
+                     _ratio_rung_f64(kernel, m, first[1]),
                      m0, tol, n_comp)
     elif all(z.imag == 0.0 for z in weights):
-        res = ladder(lambda m: _ratio_rung_dd(kernel, den_kernel, m),
-                     m0, tol, n_comp)
+        res = ladder(lambda m: _ratio_rung_dd(kernel, m), m0, tol, n_comp)
         res.parts["rounding_floor"] = floor
     else:
         raise DivisionInstabilityError(
@@ -254,16 +230,20 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     at every rung so the edge's node count matches the outer rule.  This
     route exists to cross-validate :func:`tacnode_gap_ratio`; it stays in
     float64, so it loses accuracy at deep negative sigma where the edge
-    restriction becomes singular, and it reports that honestly.
+    restriction becomes singular, and it reports that honestly.  An empty
+    gap set has probability exactly 1 and builds no kernel.
     """
     _check_sigma_window(params, force_sigma)
+    check_slots(spec, params)
+    gaps = spec.flat()
 
     def rung(m):
+        if not gaps:
+            return 1.0, {"route": "direct"}
         kernel = TacnodeDirectKernel(params, spec, m)
         return det_at(kernel, m), {"route": "direct",
                                    "resolvent_rcond": kernel.conditioned.rcond}
 
-    gaps = spec.flat()
     res = ladder(rung, m0, tol, len(gaps))
     if all(z == 0.0 for _, _, _, z in gaps):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)

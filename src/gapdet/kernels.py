@@ -19,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
-                     dd_div, dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two,
-                     dd_sqr, dd_sub)
+                     dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two, dd_sub)
 from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel, inverse_rcond
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
@@ -78,23 +77,6 @@ class AiryKernel(BlockKernel):
 
     def entry(self, i, j, x, y):
         return airy_kernel_matrix(np.real(x), np.real(y))
-
-    def entry_dd(self, i, j, x, y):
-        """Double-double difference quotient; on an i == j block x and y
-        are the same nodes and the diagonal takes the confluent form
-        Ai'(x)^2 - x Ai(x)^2 exactly."""
-        X = (x[0][:, None], x[1][:, None])
-        Y = (y[0][None, :], y[1][None, :])
-        ax, apx = dd_airy_pair(X)
-        ay, apy = dd_airy_pair(Y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = dd_div(dd_sub(dd_mul(ax, apy), dd_mul(apx, ay)),
-                         dd_sub(X, Y))
-        if i == j:
-            diag = dd_sub(dd_sqr(apx), dd_mul(dd_mul(X, ax), ax))
-            np.fill_diagonal(ker[0], diag[0])
-            np.fill_diagonal(ker[1], diag[1])
-        return ker
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +351,13 @@ class TacnodeHKernel(_LayoutKernel):
 
     Components, in order: the edge [0, cutoff], the edge
     [sigma_tilde, cutoff] (split at 0 while sigma_tilde < 0), then the gap
-    components of :func:`_gap_layout`.  The edges carry weight 1.  The
-    cutoff is :func:`tail_cutoff`.  This layout serves both precisions:
-    :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
+    components of :func:`_gap_layout`.  The edges carry weight 1, and
+    ``n_edge`` counts them (2 or 3).  The kernel vanishes between two edge
+    points of one role, so the leading (R+, edge) block of I - K W couples
+    R+ to the edge only, and its determinant is the Airy denominator
+    F2(sigma_tilde) on the same rule.
+    The cutoff is :func:`tail_cutoff`.  This layout serves both
+    precisions: :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
     :func:`gapdet.fredholm.assemble_dd` reads :meth:`entry_dd`.
     """
 
@@ -380,19 +366,13 @@ class TacnodeHKernel(_LayoutKernel):
         self.params = params
         self.spec = spec
         self.cutoff = tail_cutoff(params, spec)
-        super().__init__(
-            [(-1, 1.0, comp)
-             for comp in edge_components(0.0, self.cutoff, label="R+")]
-            + [(0, 1.0, comp)
-               for comp in edge_components(params.sigma_tilde, self.cutoff,
-                                           label="edge")]
-            + _gap_layout(spec))
-
-    def denominator(self):
-        """The ratio's denominator: the Airy kernel on this kernel's own
-        role-0 edge components, so both determinants share one rule."""
-        edge = [c for r, c in zip(self._roles, self.domains) if r == 0]
-        return AiryKernel(edge)
+        edges = ([(-1, 1.0, comp)
+                  for comp in edge_components(0.0, self.cutoff, label="R+")]
+                 + [(0, 1.0, comp)
+                    for comp in edge_components(params.sigma_tilde,
+                                                self.cutoff, label="edge")])
+        super().__init__(edges + _gap_layout(spec))
+        self.n_edge = len(edges)
 
     def entry(self, i, j, x, y):
         return tacnode_block_entry(self._roles[i], self._roles[j],
@@ -406,11 +386,10 @@ class TacnodeHKernel(_LayoutKernel):
 # ---------------------------------------------------------------------------
 # Double-double entries of the tacnode block kernel
 #
-# Past sigma ~ -5 the determinant pair that forms the gap ratio outruns
+# Past sigma ~ -5 the Schur complement that forms the gap ratio outruns
 # float64 (see the ddmath module docstring).  :meth:`TacnodeHKernel.entry_dd`
-# and :meth:`AiryKernel.entry_dd` supply the entries for
-# :func:`gapdet.fredholm.assemble_dd`, which builds I - K W for the
-# numerator and denominator on the same components as the float64 kernels.
+# supplies the entries for :func:`gapdet.fredholm.assemble_dd`, which builds
+# I - K W on the same components as the float64 kernel.
 
 def _tacnode_entry_dd(ri, rj, x, y, params):
     """Double-double twin of :func:`tacnode_block_entry`."""

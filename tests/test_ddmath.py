@@ -28,7 +28,7 @@ from gapdet.ddmath import (
     dd_sqrt,
     dd_sub,
 )
-from gapdet.errors import DomainError
+from gapdet.errors import DivisionInstabilityError, DomainError
 from gapdet.quadrature import gauss_legendre
 
 mp.mp.dps = 50
@@ -190,3 +190,25 @@ def test_det_exact_zero_for_singular_matrix():
     mant, exp2 = dd_det(a, np.zeros_like(a))
     assert mant[0] == 0.0 and mant[1] == 0.0
     assert exp2 == 0
+
+
+def test_det_lead_gives_leading_schur_complement():
+    # the first column's largest entry lies below the leading block, so a
+    # pivot search over all rows would not leave its Schur complement
+    rng = np.random.default_rng(20261018)
+    n, k = 8, 3
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    a[6, 0] = 5.0
+    zero = np.zeros_like(a)
+    mant, exp2 = dd_det(a, zero, lead=k)
+    want = np.linalg.det(a) / np.linalg.det(a[:k, :k])
+    assert abs(math.ldexp(mant[0], exp2) - want) <= 1e-13 * abs(want)
+    assert dd_det(a, zero, lead=0) == dd_det(a, zero)
+    plain = dd_det(a, zero)
+    assert abs(math.ldexp(plain[0][0], plain[1]) - np.linalg.det(a)) \
+        <= 1e-13 * abs(np.linalg.det(a))
+    mant, exp2 = dd_det(a, zero, lead=n)
+    assert math.ldexp(mant[0], exp2) == 1.0 and mant[1] == 0.0
+    a[0, :k] = 0.0      # a singular leading block has no Schur complement
+    with pytest.raises(DivisionInstabilityError):
+        dd_det(a, zero, lead=k)

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gapdet.errors import DomainError, SingularRestrictionError
-from gapdet.fredholm import assemble, assemble_dd
+from gapdet.fredholm import assemble, assemble_dd, determinant
+from gapdet.gapprob import tracy_widom_F2
 from gapdet.kernels import (
     AiryKernel,
     ConditionedKernel,
@@ -265,16 +266,17 @@ def test_h_kernel_layout_and_weights():
         TacnodeHKernel(par, GapSpec([[], []]))
 
 
-def test_h_kernel_denominator_shares_edge_components():
-    # numerator and denominator of the ratio share one rule: the Airy
-    # denominator lies on the numerator's own [sigma_tilde, X] components
-    ker = TacnodeHKernel(TacnodeParams(-1.0, (0.0,)),
-                         GapSpec([[(-1.0, 1.0, 0.25)]]))
-    den = ker.denominator()
-    assert isinstance(den, AiryKernel)
-    assert len(den.domains) == 2
-    assert all(d is c for d, c in zip(den.domains, ker.domains[1:3]))
-    assert den.weights == [1.0, 1.0]
+@pytest.mark.parametrize("sigma", [1.0, 0.0, -1.0, -2.0])
+def test_h_kernel_leading_block_is_the_airy_denominator(sigma):
+    # the ratio's denominator F2(sigma_tilde) is the determinant of the
+    # assembled numerator's leading (R+, edge) block
+    par = TacnodeParams(sigma, (0.0,))
+    ker = TacnodeHKernel(par, GapSpec([[(-1.0, 1.0, 0.25)]]))
+    assert ker.n_edge == (2 if sigma >= 0.0 else 3)
+    k = ker.n_edge * 80
+    lead = determinant(assemble(ker, gauss_legendre(80))[:k, :k])
+    f2 = tracy_widom_F2(par.sigma_tilde).real
+    assert abs(lead - f2) <= 1e-12 * f2
 
 
 @pytest.mark.parametrize("times, per_time", [
@@ -282,18 +284,17 @@ def test_h_kernel_denominator_shares_edge_components():
     ((-0.5, 0.5), [[(-1.0, 0.0, 0.3)], [(0.0, 1.0, 0.7)]]),
 ], ids=["one-time", "two-times-weighted"])
 def test_double_double_assembly_matches_float64(times, per_time):
-    # one component layout, two precisions: the high parts of the
-    # double-double matrices must agree with the float64 assembly of the
-    # same kernels on the same components (heat-kernel blocks and (1 - z)
+    # one component layout, two precisions: the high part of the
+    # double-double matrix must agree with the float64 assembly of the
+    # same kernel on the same components (heat-kernel blocks and (1 - z)
     # column weights included)
     par = TacnodeParams(-1.0, times)
     ker = TacnodeHKernel(par, GapSpec(per_time))
-    for kernel in (ker, ker.denominator()):
-        mat = assemble(kernel, gauss_legendre(24))
-        hi, lo = assemble_dd(kernel, 24)
-        assert hi.shape == mat.shape
-        assert np.max(np.abs(mat.real - hi)) < 1e-13
-        assert np.max(np.abs(lo)) < 1e-15
+    mat = assemble(ker, gauss_legendre(24))
+    hi, lo = assemble_dd(ker, 24)
+    assert hi.shape == mat.shape
+    assert np.max(np.abs(mat.real - hi)) < 1e-13
+    assert np.max(np.abs(lo)) < 1e-15
 
 
 @pytest.mark.parametrize("case", ["complex-weight", "ray"])
