@@ -181,7 +181,11 @@ def run_pearcey(tau, endpoints, m0=60, tol=1e-8):
 
 
 def _parse_intervals(text, n_times):
-    """Per-time interval groups: 'a:b[:z],a:b;a:b' (';' splits times)."""
+    """Per-time interval groups: 'a:b[:z],a:b;a:b' (';' splits times).
+
+    The groups are vetted as a :class:`GapSpec`, so an interval with
+    a >= b or a non-finite field is a bad argument, not a failed row.
+    """
     if not text.strip():
         return [[] for _ in range(n_times)]
     groups = text.split(";")
@@ -198,6 +202,7 @@ def _parse_intervals(text, n_times):
                                  % item)
             slot.append(tuple(fields))
         out.append(slot)
+    GapSpec(per_time=out)
     return out
 
 
@@ -326,7 +331,9 @@ def run_positivity_probe(sigma, tau, n_samples=40, seed=1234, m0=40,
     [sigma_tilde, inf), then evaluates 1x1 and 2x2 correlation
     determinants at a fixed cross-block grid plus seeded random points.
     A genuine determinantal kernel would keep every minor nonnegative;
-    this one does not, and the probe reports the minimum found.
+    this one does not, and the probe reports the minimum found.  The
+    kernel is evaluated once per (block, block) pair over all points, and
+    the minors are read off that matrix.
     """
     params = TacnodeParams(sigma=sigma, times=(tau,))
     base = FormalTacnodeKernel(params, m_inner=m_inner)
@@ -338,28 +345,25 @@ def run_positivity_probe(sigma, tau, n_samples=40, seed=1234, m0=40,
     for _ in range(n_samples):
         pts.append((int(rng.integers(0, 2)),
                     float(rng.uniform(-4.0, 2.0))))
-    items = [(p,) for p in pts]
-    items += [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
-
-    @_guarded
-    def worker(item):
-        if len(item) == 1:
-            (b1, x1), = item
-            val = ck.value(b1, x1, b1, x1)
-            return {"kind": "point", "b1": b1, "x1": x1,
-                    "b2": b1, "x2": x1, "det": val}
-        (b1, x1), (b2, x2) = item
-        k11 = ck.value(b1, x1, b1, x1)
-        k22 = ck.value(b2, x2, b2, x2)
-        k12 = ck.value(b1, x1, b2, x2)
-        k21 = ck.value(b2, x2, b1, x1)
-        return {"kind": "pair", "b1": b1, "x1": x1, "b2": b2, "x2": x2,
-                "det": k11 * k22 - k12 * k21}
-    rows = _map_rows(worker, items)
-    dets = [row["det"] for row in rows if "det" in row]
-    min_det = min(dets) if dets else math.nan
+    n = len(pts)
+    blocks = np.array([b for b, _ in pts])
+    xs = np.array([x for _, x in pts])
+    kmat = np.empty((n, n))
+    for b1 in (0, 1):
+        for b2 in (0, 1):
+            r, c = blocks == b1, blocks == b2
+            kmat[np.ix_(r, c)] = ck.value_matrix(b1, xs[r], b2, xs[c])
+    diag = np.diag(kmat)
+    minor = np.outer(diag, diag) - kmat * kmat.T
+    items = [(i, i) for i in range(n)]
+    items += [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = [{"kind": "point" if i == j else "pair", "b1": pts[i][0],
+             "x1": pts[i][1], "b2": pts[j][0], "x2": pts[j][1],
+             "det": float(diag[i] if i == j else minor[i, j])}
+            for i, j in items]
+    min_det = min(row["det"] for row in rows)
     return (["kind", "b1", "x1", "b2", "x2", "det", "error"], rows,
-            min_det, bool(dets) and min_det < 0.0)
+            min_det, min_det < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +543,7 @@ def main(argv=None):
             if status:
                 return status
             return 0 if found else 1
-    except GapdetError as exc:
+    except (GapdetError, OverflowError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     return _emit(args, meta, cols, rows)

@@ -15,18 +15,18 @@ error-free transforms (TwoSum, Dekker split / TwoProd) applied to numpy
 arrays, so vectorized matrix assembly and an O(n^3) LU determinant stay
 within seconds for n ~ 1000 where an arbitrary-precision library needs
 minutes to hours.  On top of the arithmetic sit the few special values the
-deep-gap path needs: Gauss-Legendre rules, the Airy pair, the shifted Airy
-function, the Gaussian transition factor, and an LU determinant returning a
-(mantissa, power-of-two) pair because the determinants themselves can
-underflow float64 (values down to ~1e-110 arise).
+deep-gap path needs: Gauss-Legendre rules, the Airy function Ai, the
+shifted Airy function, the Gaussian transition factor, and an LU
+determinant.  The determinant it serves is the tacnode ratio det S, a
+number of order one, so it is returned as one double-double pair.
 
-The Airy pair comes from a ladder of Taylor anchors spaced 0.25 apart,
+Ai comes from a ladder of Taylor anchors spaced 0.25 apart,
 seeded at x = 16 from the exponential asymptotic expansion truncated near
 its optimal index (error ~ exp(-2*zeta(16)) ~ 1e-37) and marched down to
 -30 through the differential equation y'' = x*y.  The ladder is built once
 per process, on first use, and is the only Airy ladder in the package: the
 float64 evaluator in :mod:`gapdet.specfun` reads the high words of the same
-coefficients.
+coefficients, and of their derivative series for Ai'.
 
 Functions accept and return (hi, lo) tuples and assume inputs normalized.
 Scalars may be passed as plain-float pairs; numpy broadcasting applies.
@@ -49,7 +49,7 @@ __all__ = [
     "dd_sqrt",
     "dd_exp",
     "dd_gauss_legendre",
-    "dd_airy_pair",
+    "dd_airy_ai",
     "dd_airy_shifted",
     "dd_heat_kernel",
     "dd_det",
@@ -283,10 +283,12 @@ def _fundamental_coeffs(x0, order):
 def _anchor_table():
     """March the seed down to -30, storing Taylor coefficients per anchor.
 
-    Returns (c_hi, c_lo, d_hi, d_lo): value-series and derivative-series
-    coefficient arrays of shape (n_anchors, order); anchor i sits at
-    x0 = _ANCHOR_TOP - i*_ANCHOR_STEP.  Only the 2x2 map taking (y, y') from
-    one anchor to the next is applied in sequence.
+    Returns (c_hi, c_lo, d_hi): the value series' coefficients and the
+    high words of the derivative series', arrays of shape
+    (n_anchors, order); anchor i sits at x0 = _ANCHOR_TOP - i*_ANCHOR_STEP.
+    Only :mod:`gapdet.specfun`'s float64 Ai' reads the derivative words.
+    Only the 2x2 map taking (y, y') from one anchor to the next is applied
+    in sequence.
     """
     n_steps = int(round((_ANCHOR_TOP - _WINDOW_MIN) / _ANCHOR_STEP))
     x0 = _ANCHOR_TOP - _ANCHOR_STEP * np.arange(n_steps + 1)
@@ -318,64 +320,56 @@ def _anchor_table():
     fp = (hi[:_EVAL_ORDER, 1], lo[:_EVAL_ORDER, 1])
     c = dd_add(dd_mul(fa, (ys[0], ys[1])), dd_mul(fp, (ys[2], ys[3])))
     d = dd_mul_f((c[0][1:], c[1][1:]), np.arange(1.0, _EVAL_ORDER)[:, None])
-    return tuple(np.ascontiguousarray(v.T) for v in (c[0], c[1], d[0], d[1]))
+    return tuple(np.ascontiguousarray(v.T) for v in (c[0], c[1], d[0]))
 
 
 @lru_cache(maxsize=1)
 def _asym_table():
-    u, v = _asym_coeffs_dd(_ASYM_TERMS)
-    return (np.array([c[0] for c in u]), np.array([c[1] for c in u]),
-            np.array([c[0] for c in v]), np.array([c[1] for c in v]))
+    u, _ = _asym_coeffs_dd(_ASYM_TERMS)
+    return np.array([c[0] for c in u]), np.array([c[1] for c in u])
 
 
 # ----------------------------------------------------------------- airy
 
 def _airy_anchor(x):
-    c_hi, c_lo, d_hi, d_lo = _anchor_table()
+    c_hi, c_lo, _ = _anchor_table()
     idx = np.rint((_ANCHOR_TOP - x[0]) / _ANCHOR_STEP).astype(int)
     idx = np.clip(idx, 0, c_hi.shape[0] - 1)
     x0 = _ANCHOR_TOP - _ANCHOR_STEP * idx     # exact: multiples of 0.25
     h = dd_add_f(x, -x0)
     ca_hi, ca_lo = c_hi[idx], c_lo[idx]
-    cd_hi, cd_lo = d_hi[idx], d_lo[idx]
     ai = (ca_hi[..., -1], ca_lo[..., -1])
     for k in range(_EVAL_ORDER - 2, -1, -1):
         ai = dd_add(dd_mul(ai, h), (ca_hi[..., k], ca_lo[..., k]))
-    aip = (cd_hi[..., -1], cd_lo[..., -1])
-    for k in range(_EVAL_ORDER - 3, -1, -1):
-        aip = dd_add(dd_mul(aip, h), (cd_hi[..., k], cd_lo[..., k]))
-    return ai, aip
+    return ai
 
 
 def _airy_asym_scaled(x):
-    """(Ai*e^zeta, Ai'*e^zeta, zeta) for x >= _ANCHOR_TOP.
+    """(Ai*e^zeta, zeta) for x >= _ANCHOR_TOP.
 
     A fixed 120-term Horner evaluation keeps the truncation error below
     ~1e-34 for every x >= 16: at the lower edge the optimally small terms
     sit near index 85 and have not grown back past that level by 120, and
     for larger x the series is still decaying at index 120.
     """
-    u_hi, u_lo, v_hi, v_lo = _asym_table()
+    u_hi, u_lo = _asym_table()
     zeta = dd_div(dd_mul_pow2(dd_mul(x, dd_sqrt(x)), 2.0), (3.0, 0.0))
     t = dd_neg(dd_div((np.ones_like(x[0]), np.zeros_like(x[0])), zeta))
     su = (np.full_like(x[0], u_hi[-1]), np.full_like(x[0], u_lo[-1]))
-    sv = (np.full_like(x[0], v_hi[-1]), np.full_like(x[0], v_lo[-1]))
     for k in range(_ASYM_TERMS - 2, -1, -1):
         su = dd_add(dd_mul(su, t), (u_hi[k], u_lo[k]))
-        sv = dd_add(dd_mul(sv, t), (v_hi[k], v_lo[k]))
     root = dd_sqrt(dd_sqrt(x))
     two_sqrt_pi = (2.0 * _sqrt_pi_s()[0], 2.0 * _sqrt_pi_s()[1])
-    amp_ai = dd_div(su, dd_mul(root, two_sqrt_pi))
-    amp_aip = dd_neg(dd_div(dd_mul(sv, root), two_sqrt_pi))
-    return amp_ai, amp_aip, zeta
+    return dd_div(su, dd_mul(root, two_sqrt_pi)), zeta
 
 
-def dd_airy_pair(x):
-    """(Ai(x), Ai'(x)) elementwise in double-double.
+def dd_airy_ai(x):
+    """Ai(x) elementwise in double-double.
 
     Accuracy target: ~1e-28 relative to the local amplitude across the
     window [-30, oo).  Arguments below -30 raise :class:`DomainError`; far
-    in the exponential tail the pair underflows to exact zeros.
+    in the exponential tail the value underflows to exact zeros.  Ai' has
+    no double-double evaluator: no kernel reads it.
     """
     hi = np.asarray(x[0], dtype=float)
     lo = np.asarray(x[1], dtype=float)
@@ -385,37 +379,29 @@ def dd_airy_pair(x):
             % (float(np.min(hi)), _WINDOW_MIN))
     ai_hi = np.empty_like(hi)
     ai_lo = np.empty_like(hi)
-    aip_hi = np.empty_like(hi)
-    aip_lo = np.empty_like(hi)
     near = hi < _ANCHOR_TOP
     if np.any(near):
-        ai, aip = _airy_anchor((hi[near], lo[near]))
-        ai_hi[near], ai_lo[near] = ai
-        aip_hi[near], aip_lo[near] = aip
+        ai_hi[near], ai_lo[near] = _airy_anchor((hi[near], lo[near]))
     far = ~near
     if np.any(far):
-        amp_ai, amp_aip, zeta = _airy_asym_scaled((hi[far], lo[far]))
+        amp_ai, zeta = _airy_asym_scaled((hi[far], lo[far]))
         with np.errstate(under="ignore"):
             damp = dd_exp(dd_neg(zeta))
             ai = dd_mul(amp_ai, damp)
-            aip = dd_mul(amp_aip, damp)
         # below ~1e-290 the lo parts hit subnormals; flush them so later
         # arithmetic never sees junk spacing
-        tiny = damp[0] < 1e-290
         ai_hi[far] = ai[0]
-        ai_lo[far] = np.where(tiny, 0.0, ai[1])
-        aip_hi[far] = aip[0]
-        aip_lo[far] = np.where(tiny, 0.0, aip[1])
-    return (ai_hi, ai_lo), (aip_hi, aip_lo)
+        ai_lo[far] = np.where(damp[0] < 1e-290, 0.0, ai[1])
+    return ai_hi, ai_lo
 
 
 # --------------------------------------------------------------- specfun
 
 @lru_cache(maxsize=1)
 def dd_roots_of_two():
-    """(2^(1/6), 2^(1/3), 2^(2/3)) as scalar double-double pairs."""
+    """(2^(1/6), 2^(1/3)) as scalar double-double pairs."""
     out = []
-    for num, den in ((1.0, 6.0), (1.0, 3.0), (2.0, 3.0)):
+    for num, den in ((1.0, 6.0), (1.0, 3.0)):
         # the fraction itself must be a double-double; a float64 exponent
         # error of ~1e-17 would survive into 2^frac
         frac = dd_div((num, 0.0), (den, 0.0))
@@ -442,7 +428,7 @@ def dd_airy_shifted(tau, x):
     out_lo = np.empty_like(x[0])
     far = w[0] >= _ANCHOR_TOP
     if np.any(far):
-        amp_ai, _, zeta = _airy_asym_scaled((w[0][far], w[1][far]))
+        amp_ai, zeta = _airy_asym_scaled((w[0][far], w[1][far]))
         expo = dd_sub((pref[0][far], pref[1][far]), zeta)
         if np.any(expo[0] > 700.0):
             raise OverflowError(
@@ -458,7 +444,7 @@ def dd_airy_shifted(tau, x):
             raise OverflowError(
                 "dd_airy_shifted overflow: log-magnitude %.3g exceeds "
                 "float range" % float(np.max(pn[0])))
-        ai, _ = dd_airy_pair((w[0][near], w[1][near]))
+        ai = dd_airy_ai((w[0][near], w[1][near]))
         with np.errstate(under="ignore"):
             val = dd_mul(dd_mul(ai, dd_exp(pn)), two_sixth)
         out_hi[near], out_lo[near] = val
@@ -521,11 +507,10 @@ def dd_gauss_legendre(m):
 def dd_det(a_hi, a_lo, lead=0):
     """Determinant of a double-double matrix by LU with partial pivoting.
 
-    Returns ``(mant, exp2)``: ``mant`` a scalar double-double pair with
-    0.5 <= |mant| < 1 (or exactly zero) and determinant = mant * 2^exp2;
-    an empty product is ``(1.0, 0.0), 0``.  The split representation
-    matters because the determinants this is used for can underflow
-    float64 on their own.
+    Returns the determinant as a scalar double-double pair, the pivots
+    multiplied straight into it; an empty product is ``(1.0, 0.0)``.  A
+    determinant beyond float64's range would underflow or overflow, but
+    the one this serves, the tacnode ratio det S, is of order one.
 
     With ``lead = k`` the first k columns take their pivots from the
     leading k rows only, which leaves the Schur complement of the leading
@@ -536,8 +521,7 @@ def dd_det(a_hi, a_lo, lead=0):
     hi = np.array(a_hi, dtype=float, copy=True)
     lo = np.array(a_lo, dtype=float, copy=True)
     n = hi.shape[0]
-    mant = (1.0, 0.0)
-    exp2 = 0
+    det = (1.0, 0.0)
     sign = 1.0
     for k in range(n):
         rows = lead if k < lead else n
@@ -547,7 +531,7 @@ def dd_det(a_hi, a_lo, lead=0):
                 raise DivisionInstabilityError(
                     "leading %d x %d block is singular at the working "
                     "precision" % (lead, lead))
-            return (0.0, 0.0), 0
+            return 0.0, 0.0
         if p != k:
             hi[[k, p], k:] = hi[[p, k], k:]
             lo[[k, p], k:] = lo[[p, k], k:]
@@ -555,13 +539,7 @@ def dd_det(a_hi, a_lo, lead=0):
                 sign = -sign
         piv = (hi[k, k], lo[k, k])
         if k >= lead:
-            mp_, ep_ = np.frexp(piv[0])
-            mant = dd_mul(mant, (float(mp_),
-                                 float(np.ldexp(piv[1], -int(ep_)))))
-            exp2 += int(ep_)
-            mm, em = np.frexp(mant[0])
-            mant = (float(mm), float(np.ldexp(mant[1], -int(em))))
-            exp2 += int(em)
+            det = dd_mul(det, piv)
         if k + 1 < n:
             col = (hi[k + 1:, k], lo[k + 1:, k])
             mult = dd_div(col, piv)
@@ -570,4 +548,4 @@ def dd_det(a_hi, a_lo, lead=0):
             blk = dd_sub((hi[k + 1:, k + 1:], lo[k + 1:, k + 1:]), prod)
             hi[k + 1:, k + 1:] = blk[0]
             lo[k + 1:, k + 1:] = blk[1]
-    return (sign * mant[0], sign * mant[1]), exp2
+    return sign * float(det[0]), sign * float(det[1])

@@ -163,9 +163,8 @@ def _ratio_rung_f64(kernel, m, m0_parts=None):
 
 def _ratio_rung_dd(kernel, m):
     with _DD_TURN:
-        mant, exp2 = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
-    return math.ldexp(mant[0], exp2), {"route": "double-double",
-                                       "cutoff": kernel.cutoff}
+        det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+    return float(det[0]), {"route": "double-double", "cutoff": kernel.cutoff}
 
 
 def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
@@ -179,9 +178,11 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     of the gap block's Schur complement (see the module docstring), and
     both determinants share the rule and the cutoff X by construction.
 
-    With every interval empty, or every weight at z = 1, S is 0 x 0 or
-    the identity and the ratio is exactly 1; both cases run through the
-    ordinary code path as accuracy checks.
+    An empty gap set returns exactly 1 at once, as the direct route does,
+    without assembling: S is 0 x 0 whatever the conditioning of L, so
+    the row reports route float64 and a rounding floor of 0.  With every
+    weight at z = 1, S is the identity and the ratio is exactly 1; that
+    case runs through the ordinary code path as an accuracy check.
 
     The float64 rung at m0 measures the ratio's relative rounding floor
     (see the module docstring).  At most tol, the ladder stays in float64
@@ -189,15 +190,20 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     double-double and complex weights raise
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
     ``tol``.  Returns a :class:`DetResult` whose ``parts`` carry the route
-    taken, the cutoff and the m0 ``rounding_floor``; float64 rows add the
-    rconds of N and L.  |sigma| beyond the stability window raises
-    unless ``force_sigma`` is set.
+    taken, the cutoff and the m0 ``rounding_floor``; rows that ran the
+    float64 rung add the rconds of N and L.  |sigma| beyond the stability
+    window raises unless ``force_sigma`` is set.
     """
     _check_sigma_window(params, force_sigma)
     check_ladder(m0, tol)
     kernel = TacnodeHKernel(params, spec)
     weights = [z for _, _, _, z in spec.flat()]
     n_comp = len(kernel.domains)
+    if not weights:
+        return ladder(lambda m: (1.0, {"route": "float64",
+                                       "rounding_floor": 0.0,
+                                       "cutoff": kernel.cutoff}),
+                      m0, tol, n_comp)
     first = _ratio_rung_f64(kernel, m0)
     floor = first[1]["rounding_floor"]
     if floor <= tol:
@@ -276,7 +282,11 @@ def generating_function(intervals, m0=40, tol=1e-8):
         if not (np.isfinite(a) and a < b):
             raise DomainError("interval needs finite a < b, got [%r, %r]"
                               % (a, b))
-        norm.append((a, b, complex(z)))
+        z = complex(z)
+        if not np.isfinite(z):
+            raise DomainError("interval [%r, %r] needs a finite weight z, "
+                              "got %r" % (a, b, z))
+        norm.append((a, b, z))
     norm.sort(key=lambda iv: iv[0])
     for k in range(len(norm) - 1):
         if norm[k][1] > norm[k + 1][0]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddmath import (dd_add, dd_add_f, dd_airy_pair, dd_airy_shifted,
+from .ddmath import (dd_add, dd_add_f, dd_airy_ai, dd_airy_shifted,
                      dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two, dd_sub)
 from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel, inverse_rcond
@@ -231,7 +231,12 @@ class GapSpec:
                 if not (np.isfinite(a) and np.isfinite(b) and a < b):
                     raise DomainError(
                         "interval needs finite a < b, got [%r, %r]" % (a, b))
-                items.append((a, b, complex(z)))
+                z = complex(z)
+                if not np.isfinite(z):
+                    raise DomainError(
+                        "interval [%r, %r] needs a finite weight z, got %r"
+                        % (a, b, z))
+                items.append((a, b, z))
             items.sort(key=lambda iv: iv[0])
             merged = []
             for a, b, z in items:
@@ -401,8 +406,7 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
         if ri == rj:
             shape = (x[0].size, y[0].size)
             return np.zeros(shape), np.zeros(shape)
-        ai, _ = dd_airy_pair(dd_add(X, Y))
-        return dd_neg(ai)
+        return dd_neg(dd_airy_ai(dd_add(X, Y)))
     if ri == -1:
         tau = params.times[rj - 1]
         arg = dd_add(dd_mul(X, cbrt2), dd_add_f(dd_neg(Y), sig))
@@ -558,9 +562,6 @@ class ConditionedKernel:
         v = self.base.entry(0, b2, self.nodes, y2)
         g = self._inv @ np.asarray(v, dtype=float)
         return bare + (np.asarray(u) * self.colw[None, :]) @ g
-
-    def value(self, b1, y1, b2, y2):
-        return float(self.value_matrix(b1, [y1], b2, [y2])[0, 0])
 
 
 class TacnodeDirectKernel(_LayoutKernel):

@@ -84,7 +84,7 @@ def _ai_asym_pos(x):
 @lru_cache(maxsize=1)
 def _anchor_coeffs():
     """High words of the anchor table, one contiguous row per order."""
-    c_hi, _, d_hi, _ = _anchor_table()
+    c_hi, _, d_hi = _anchor_table()
     return (np.ascontiguousarray(c_hi[:, :_EVAL_ORDER].T),
             np.ascontiguousarray(d_hi[:, :_EVAL_ORDER - 1].T))
 

@@ -104,9 +104,11 @@ def test_odd_endpoint_count_exits_3(capsys):
 
 
 def test_malformed_intervals_exit_3(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["tacnode", "--sigma", "0", "--intervals", "1:2:3:4"])
-    assert exc.value.code == 3
+    # a >= b and non-finite fields are bad arguments, not failed rows
+    for text in ("1:2:3:4", "1:-1", "-1:1:nan", "-1:1:inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tacnode", "--sigma", "0", "--intervals=" + text])
+        assert exc.value.code == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -226,6 +228,15 @@ def test_positivity_probe_finds_negative_minor(capsys):
     min_det = float(meta.split("min_det")[1].split()[0])
     assert min_det < 0.0
     assert len(parse_rows(text)) == 55
+
+
+def test_positivity_probe_reports_kernel_failure(capsys, monkeypatch):
+    def overflow(*args):
+        raise OverflowError("shifted Airy overflow")
+    monkeypatch.setattr("gapdet.kernels.ConditionedKernel.value_matrix",
+                        overflow)
+    assert main(["positivity-probe", "--n-samples", "0"]) == 2
+    assert "shifted Airy overflow" in capsys.readouterr().err
 
 
 def test_positivity_probe_rejects_coarse_inner_rule(capsys):

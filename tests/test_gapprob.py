@@ -173,14 +173,19 @@ def test_tacnode_weighted_routes_agree():
     assert abs(ratio.real - direct.real) <= 1e-8
 
 
-def test_tacnode_empty_gap_gives_one():
-    # the gap block's Schur complement is 0 x 0 on both precisions
-    e_f64 = tacnode_gap_ratio(GapSpec([[]]), TacnodeParams(0.0, (0.0,)))
-    assert e_f64.parts["route"] == "float64"
-    assert e_f64.value == 1.0
-    e_dd = tacnode_gap_ratio(GapSpec([[]]), TacnodeParams(-7.0, (0.0,)))
-    assert e_dd.parts["route"] == "double-double"
-    assert e_dd.value == 1.0
+def test_tacnode_empty_gap_gives_one(monkeypatch):
+    # the gap block's Schur complement is 0 x 0, so the ratio is 1 without
+    # assembling, however ill-conditioned L is at sigma = -7 and -9
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty gap set needs no matrix")
+    for name in ("matrix_at", "assemble_dd", "dd_det"):
+        monkeypatch.setattr("gapdet.gapprob." + name, refuse)
+    for sigma in (0.0, -7.0, -9.0):
+        e = tacnode_gap_ratio(GapSpec([[]]), TacnodeParams(sigma, (0.0,)))
+        assert e.parts["route"] == "float64"
+        assert e.parts["rounding_floor"] == 0.0
+        assert e.value == 1.0
+        assert e.m_used == (80,) * (3 if sigma < 0.0 else 2)
     # the direct route needs no edge restriction, which is singular to
     # float64 at sigma = -7 and -9
     for sigma in (0.0, -7.0, -9.0):
@@ -321,6 +326,8 @@ def test_generating_function_validation():
         generating_function([(0.0, 1.0), (0.5, 2.0)])
     with pytest.raises(DomainError):
         generating_function([(0.0, 1.0, 0.3, 0.4)])
+    with pytest.raises(DomainError, match=r"\[0\.0, 1\.0\]"):
+        generating_function([(0.0, 1.0, math.inf)])
 
 
 # ---------------------------------------------------------------------------

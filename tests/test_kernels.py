@@ -177,6 +177,8 @@ def test_gap_spec_normalization():
         GapSpec([[(0.0, 1.0, 0.2), (0.5, 2.0, 0.8)]])
     with pytest.raises(DomainError):
         GapSpec([[(1.0, 1.0)]])
+    with pytest.raises(DomainError, match=r"\[-1\.0, 1\.0\]"):
+        GapSpec([[(-1.0, 1.0, np.nan)]])
     assert GapSpec([[], []]).flat() == []
 
 
@@ -410,8 +412,8 @@ def test_conditioned_kernel_symmetry():
     ck = ConditionedKernel(AiryKernel(), DomainComponent.finite(1.0, 2.0),
                            gauss_legendre(60))
     assert ck.rcond > 1e-8
-    a = ck.value(0, 0.2, 0, -0.7)
-    b = ck.value(0, -0.7, 0, 0.2)
+    a = ck.value_matrix(0, [0.2], 0, [-0.7])[0, 0]
+    b = ck.value_matrix(0, [-0.7], 0, [0.2])[0, 0]
     assert_allclose(a, b, rtol=1e-12)
 
 
@@ -419,7 +421,7 @@ def test_conditioned_kernel_correction_sign():
     # conditioning on emptiness of [1, 2] raises the correlation nearby
     ck = ConditionedKernel(AiryKernel(), DomainComponent.finite(1.0, 2.0),
                            gauss_legendre(60))
-    assert ck.value(0, 0.9, 0, 0.9) > airy_kernel(0.9, 0.9)
+    assert ck.value_matrix(0, [0.9], 0, [0.9])[0, 0] > airy_kernel(0.9, 0.9)
 
 
 def test_conditioned_kernel_singular_region():
