@@ -130,7 +130,10 @@ def _meta(args):
 # Parameter maps of the limit regimes
 
 def pearcey_airy_endpoints(tau, rho, sigma):
-    """Gap endpoints that push the Pearcey process to two Airy edges."""
+    """Gap endpoints that push the Pearcey process to two Airy edges; at
+    tau = 0 they meet, and below it (tau / 3)^(3/2) is not real."""
+    if tau <= 0.0:
+        raise DomainError("the endpoint map needs tau > 0, got %g" % tau)
     c = 2.0 * (tau / 3.0) ** 1.5
     w = (3.0 * tau) ** (1.0 / 6.0)
     return -c + w * rho, c - w * sigma

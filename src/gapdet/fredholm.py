@@ -19,8 +19,8 @@ Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
-a single determinant; the tacnode routes in :mod:`gapdet.gapprob` run it on
-determinant ratios.
+one kernel; :mod:`gapdet.gapprob` also runs it over kernels rebuilt on each
+rung's rule and over the tacnode ratio's Schur complement.
 """
 
 from dataclasses import dataclass, field
@@ -49,9 +49,7 @@ class BlockKernel:
     kernel values.  A kernel that also assembles in double-double (today
     only :class:`gapdet.kernels.TacnodeHKernel`) implements
     ``entry_dd(i, j, x, y)``, the same matrix with (hi, lo) pairs in and
-    out.  ``condense(matrix)`` may replace the assembled float64 matrix by a
-    smaller one with the same determinant before the LU; the default keeps
-    it.
+    out.
     """
 
     def __init__(self, domains=(), weights=None):
@@ -67,9 +65,6 @@ class BlockKernel:
 
     def entry_dd(self, i, j, x, y):
         raise NotImplementedError
-
-    def condense(self, matrix):
-        return matrix
 
 
 @dataclass(frozen=True)
@@ -219,15 +214,9 @@ def inverse_rcond(matrix):
                              * np.linalg.norm(inv, 1)))
 
 
-def matrix_at(kernel, m):
-    """The matrix factored for det(I - K) at a fixed per-component node
-    count: assembled, then condensed."""
-    return kernel.condense(assemble(kernel, gauss_legendre(m)))
-
-
 def det_at(kernel, m):
     """Discretized det(I - K) at a fixed per-component node count."""
-    return determinant(matrix_at(kernel, m))
+    return determinant(assemble(kernel, gauss_legendre(m)))
 
 
 def check_ladder(m0, tol):

@@ -41,11 +41,11 @@ import numpy as np
 
 from .ddmath import dd_det
 from .errors import DivisionInstabilityError, DomainError, SanityCheckError
-from .fredholm import (assemble_dd, check_ladder, det_at, determinant,
-                       fredholm_det, inverse_rcond, ladder, matrix_at)
+from .fredholm import (assemble, assemble_dd, check_ladder, det_at,
+                       determinant, fredholm_det, inverse_rcond, ladder)
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
-                      TacnodeHKernel, check_slots)
-from .quadrature import DomainComponent
+                      TacnodeHKernel, check_slots, parse_interval)
+from .quadrature import DomainComponent, gauss_legendre
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
            "tacnode_gap_ratio", "tacnode_gap_direct", "generating_function",
@@ -116,14 +116,14 @@ def airy_gap(intervals, m0=40, tol=1e-8):
 def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
     """Pearcey gap probability over the union encoded by ``params``.
 
-    The determinant is assembled on the left hyperbola, the imaginary axis
-    and the right hyperbola, and factored through the axis block
-    (:meth:`gapdet.kernels.PearceyKernel.condense`).  tau in [0, 8] is the
-    documented stable window; outside it the kernel's own overflow guard
-    fires.  With no endpoints the axis-to-contour coupling vanishes and
-    the value is 1.
+    Each rung's :class:`gapdet.kernels.PearceyKernel` eliminates both
+    hyperbolas on the rung's rule, leaving the imaginary axis; ``m_used``
+    counts nodes on all three contours.  tau in [0, 8] is the documented
+    stable window; outside it the kernel's own overflow guard fires.  With
+    no endpoints the axis-to-contour coupling vanishes and the value is 1.
     """
-    res = fredholm_det(PearceyKernel(params, imag_variant), m0=m0, tol=tol)
+    res = ladder(lambda m: (det_at(PearceyKernel(params, m, imag_variant), m),
+                            {}), m0, tol, 3)
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 
@@ -146,7 +146,7 @@ def _ratio_rung_f64(kernel, m, m0_parts=None):
     eps (1/rcond_numerator + 1/rcond_denominator); later rungs carry those
     of ``m0_parts``, the m0 rung's parts.
     """
-    mat = matrix_at(kernel, m)
+    mat = assemble(kernel, gauss_legendre(m))
     k = kernel.n_edge * m
     lead = mat[:k, :k]
     schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
@@ -269,25 +269,8 @@ def generating_function(intervals, m0=40, tol=1e-8):
     bit-identical assembly; at z = 1 everywhere the weighted projector
     vanishes and the value is 1.
     """
-    norm = []
-    for iv in intervals:
-        if len(iv) == 2:
-            a, b = iv
-            z = 0.0
-        elif len(iv) == 3:
-            a, b, z = iv
-        else:
-            raise DomainError("interval must be (a, b) or (a, b, z)")
-        a, b = float(a), float(b)
-        if not (np.isfinite(a) and a < b):
-            raise DomainError("interval needs finite a < b, got [%r, %r]"
-                              % (a, b))
-        z = complex(z)
-        if not np.isfinite(z):
-            raise DomainError("interval [%r, %r] needs a finite weight z, "
-                              "got %r" % (a, b, z))
-        norm.append((a, b, z))
-    norm.sort(key=lambda iv: iv[0])
+    norm = sorted((parse_interval(iv) for iv in intervals),
+                  key=lambda iv: iv[0])
     for k in range(len(norm) - 1):
         if norm[k][1] > norm[k + 1][0]:
             raise DomainError("intervals must be disjoint")

@@ -3,14 +3,15 @@
 Three families live here:
 
 * the Airy kernel and its Fredholm restriction blocks;
-* the Pearcey kernel on the two hyperbola branches plus the imaginary axis;
+* the Pearcey kernel on the imaginary axis, with its two hyperbola branches
+  eliminated on the same rule;
 * the tacnode blocks: the coupled block kernel whose determinant ratio gives
   the tacnode gap probability, and the direct space-time kernel, which is
   the formal extended kernel conditioned on an empty Airy edge.
 
-Kernel classes subclass :class:`gapdet.fredholm.BlockKernel` and evaluate
-whole matrices at once, as do the module-level building blocks they are
-assembled from.
+Kernel classes evaluate whole matrices at once, as do the module-level
+building blocks they are assembled from; all but the never-assembled
+:class:`FormalTacnodeKernel` subclass :class:`gapdet.fredholm.BlockKernel`.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
 __all__ = [
     "airy_kernel_matrix", "AiryKernel",
     "PearceyParams", "PearceyKernel",
-    "TacnodeParams", "GapSpec", "check_slots", "tacnode_block_entry",
+    "TacnodeParams", "GapSpec", "parse_interval", "check_slots",
+    "tacnode_block_entry",
     "TacnodeHKernel",
     "tail_cutoff",
     "ext_airy_matrix", "coupling_matrix",
@@ -121,21 +123,26 @@ def _exp_outer(rows, cols):
         return np.exp(rows - top), np.exp(cols + top)
 
 
-def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    if row_on_axis == col_on_axis:
-        return np.zeros((lam.size, mu.size), dtype=complex)
+def _cauchy(lam, mu):
+    return 1.0 / (2j * np.pi * (lam[:, None] - mu[None, :]))
+
+
+def _branch_to_axis(lam, mu, params):
+    """Pearcey kernel from points lam on a hyperbola branch (rows) to
+    points mu on the imaginary axis (columns), both complex arrays."""
     # every exponent is a row term plus a column term
+    r, c = _exp_outer(0.5 * pearcey_phase(lam, params.tau),
+                      -0.5 * pearcey_phase(mu, params.tau))
+    with np.errstate(under="ignore"):
+        return np.outer(r, c) * _cauchy(lam, mu)
+
+
+def _axis_to_branch(lam, mu, params):
+    """Pearcey kernel from the imaginary axis (rows) to a hyperbola branch
+    (columns)."""
     half_l = 0.5 * pearcey_phase(lam, params.tau)
     half_m = 0.5 * pearcey_phase(mu, params.tau)
-    cauchy = 1.0 / (2j * np.pi * (lam[:, None] - mu[None, :]))
-    if not row_on_axis:
-        # rows on a hyperbola branch, columns on the axis
-        r, c = _exp_outer(half_l, -half_m)
-        with np.errstate(under="ignore"):
-            return np.outer(r, c) * cauchy
-    # rows on the axis, columns on a hyperbola branch
+    cauchy = _cauchy(lam, mu)
     acc = np.zeros_like(cauchy)
     for k, a in enumerate(params.endpoints):
         r, c = _exp_outer(-half_l + a * lam, half_m - a * mu)
@@ -146,31 +153,29 @@ def _pearcey_block(row_on_axis, col_on_axis, lam, mu, params):
 
 
 class PearceyKernel(BlockKernel):
-    """Pearcey kernel over (left branch, imaginary axis, right branch)."""
+    """Pearcey kernel on the imaginary axis with both hyperbola branches
+    eliminated on the m-point rule.
 
-    _axis = (False, True, False)
+    A branch couples only to the axis, so on (left branch, axis, right
+    branch) the axis block's Schur complement of I - K W is I - K_b W on
+    the axis, with K_b = sum over the branches of K(axis, branch) W K(branch,
+    axis): the three-contour determinant at a third of the order.
+    """
 
-    def __init__(self, params, imag_variant="tan"):
-        super().__init__([DomainComponent.contour_left(),
-                          DomainComponent.contour_imag(variant=imag_variant),
-                          DomainComponent.contour_right()])
+    def __init__(self, params, m, imag_variant="tan"):
+        super().__init__([DomainComponent.contour_imag(variant=imag_variant)])
         self.params = params
+        rule = gauss_legendre(m)
+        self._branches = []
+        for dom in (DomainComponent.contour_left(),
+                    DomainComponent.contour_right()):
+            pts, dp = dom.map_points(rule.nodes)
+            self._branches.append((pts, rule.weights * dp))
 
     def entry(self, i, j, x, y):
-        return _pearcey_block(self._axis[i], self._axis[j], x, y, self.params)
-
-    def condense(self, matrix):
-        """The axis block's Schur complement of I - K W.
-
-        Only a branch couples to the axis, so every diagonal block of
-        I - K W is the identity and the branches do not see each other.
-        Eliminating both branch blocks exactly leaves a third of the order
-        with the same determinant.
-        """
-        m = len(matrix) // 3
-        left, axis, right = (slice(k * m, (k + 1) * m) for k in range(3))
-        return (matrix[axis, axis] - matrix[axis, left] @ matrix[left, axis]
-                - matrix[axis, right] @ matrix[right, axis])
+        return sum((_axis_to_branch(x, pts, self.params) * w[None, :])
+                   @ _branch_to_axis(pts, y, self.params)
+                   for pts, w in self._branches)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +211,27 @@ class TacnodeParams:
         return 2.0 ** (2.0 / 3.0) * self.sigma
 
 
+def parse_interval(iv):
+    """``(a, b, z)`` from ``(a, b)`` (z = 0) or ``(a, b, z)``, with a and z
+    finite and a < b; b may be +inf."""
+    if len(iv) == 2:
+        a, b = iv
+        z = 0.0
+    elif len(iv) == 3:
+        a, b, z = iv
+    else:
+        raise DomainError("interval must be (a, b) or (a, b, z)")
+    a, b = float(a), float(b)
+    if not (np.isfinite(a) and a < b):
+        raise DomainError("interval needs finite a < b, got [%r, %r]"
+                          % (a, b))
+    z = complex(z)
+    if not np.isfinite(z):
+        raise DomainError("interval [%r, %r] needs a finite weight z, got %r"
+                          % (a, b, z))
+    return a, b, z
+
+
 class GapSpec:
     """Per-time interval unions with optional generating-function weights.
 
@@ -218,28 +244,13 @@ class GapSpec:
     def __init__(self, per_time):
         norm = []
         for slot in per_time:
-            items = []
-            for iv in slot:
-                if len(iv) == 2:
-                    a, b = iv
-                    z = 0.0
-                elif len(iv) == 3:
-                    a, b, z = iv
-                else:
-                    raise DomainError("interval must be (a, b) or (a, b, z)")
-                a, b = float(a), float(b)
-                if not (np.isfinite(a) and np.isfinite(b) and a < b):
-                    raise DomainError(
-                        "interval needs finite a < b, got [%r, %r]" % (a, b))
-                z = complex(z)
-                if not np.isfinite(z):
-                    raise DomainError(
-                        "interval [%r, %r] needs a finite weight z, got %r"
-                        % (a, b, z))
-                items.append((a, b, z))
-            items.sort(key=lambda iv: iv[0])
+            items = sorted((parse_interval(iv) for iv in slot),
+                           key=lambda iv: iv[0])
             merged = []
             for a, b, z in items:
+                if not np.isfinite(b):
+                    raise DomainError(
+                        "interval needs finite a < b, got [%r, %r]" % (a, b))
                 if merged and a <= merged[-1][1]:
                     pa, pb, pz = merged[-1]
                     if pz != z:
@@ -319,6 +330,8 @@ def tail_cutoff(params, spec):
     magnitude.  The cutoff is where that envelope reaches e^-75, far below
     the determinant's own conditioning for any |sigma| <= 9, and no larger:
     stretching a fixed node count over extra length costs resolution.
+    sigma_tilde outgrows the envelope past sigma ~ 14 (``force_sigma``),
+    so the cutoff stays 8 above sigma_tilde to keep the edge an interval.
     """
     tau_m = max((abs(t) for t in params.times), default=0.0)
     e_max = max((max(abs(a), abs(b)) for _, a, b, _ in spec.flat()),
@@ -326,7 +339,7 @@ def tail_cutoff(params, spec):
     s0 = abs(params.sigma) + e_max + tau_m * tau_m + 1.0
     margin = 75.0 + tau_m * (abs(params.sigma) + e_max)
     x = (s0 + (1.5 * margin) ** (2.0 / 3.0)) / _CBRT2
-    return max(16.0, float(x))
+    return max(16.0, float(x), params.sigma_tilde + 8.0)
 
 
 def _gap_layout(spec):
@@ -482,7 +495,7 @@ def coupling_matrix(tau, xi, u, m_inner):
 # ---------------------------------------------------------------------------
 # Formal extended kernel, conditioned kernels and the direct tacnode kernel
 
-class FormalTacnodeKernel(BlockKernel):
+class FormalTacnodeKernel:
     """Block kernel of the formal extended process behind the tacnode ratio.
 
     Block 0 is a full auxiliary real line; blocks 1..r are the time slices.

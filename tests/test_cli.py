@@ -149,6 +149,16 @@ def test_failed_row_exits_2_and_reports(capsys):
     assert row["F_tac"] == ""
 
 
+def test_scan_pearcey_airy_rejects_nonpositive_tau_per_row(capsys):
+    # exit 1 means "probe found no witness", so a bad tau fails the rows
+    rc, text = run_text(capsys, ["scan-pearcey-airy", "--tau", "-1",
+                                 "--n", "1"])
+    assert rc == 2
+    row = parse_rows(text)[0]
+    assert "DomainError" in row["error"]
+    assert row["F_P"] == ""
+
+
 def test_positivity_probe_has_no_tol_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["positivity-probe", "--tol", "123", "--n-samples", "1"])
@@ -256,6 +266,10 @@ def test_pearcey_airy_endpoint_map():
     assert_allclose((a, b), (-c, c), rtol=1e-15)
     a, b = pearcey_airy_endpoints(tau, 1.0, -3.0)
     assert_allclose((a, b), (-c + w, c + 3.0 * w), rtol=1e-15)
+    # tau = 0 collapses both edges, and tau < 0 has no real scale
+    for tau in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            pearcey_airy_endpoints(tau, 0.0, 0.0)
 
 
 def test_tacnode_pearcey_time_map():

@@ -20,7 +20,7 @@ from gapdet.gapprob import (SIGMA_WINDOW, _check_probability, airy_gap,
                             tacnode_gap_direct, tacnode_gap_ratio,
                             tracy_widom_F2)
 from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
-                            TacnodeParams)
+                            TacnodeParams, _axis_to_branch, _branch_to_axis)
 from gapdet.quadrature import DomainComponent, gauss_legendre
 
 
@@ -96,11 +96,23 @@ def test_pearcey_pinned_values():
 
 def test_pearcey_branch_elimination_matches_full_determinant():
     # a Pearcey rung factors the axis block's Schur complement; the LU of
-    # the full three-component matrix on the same rule is the reference
-    ker = PearceyKernel(PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0)))
+    # the full three-contour matrix on the same rule is the reference
+    par = PearceyParams(2.0, (-1.5, -0.5, 0.5, 1.0))
+    contours = (DomainComponent.contour_left(), DomainComponent.contour_imag(),
+                DomainComponent.contour_right())
     for m in (60, 120):
-        full = determinant(assemble(ker, gauss_legendre(m)))
-        assert abs(det_at(ker, m) - full) <= 1e-13
+        rule = gauss_legendre(m)
+        (lft, dl), (axs, da), (rgt, dr) = (c.map_points(rule.nodes)
+                                           for c in contours)
+        zero = np.zeros((m, m))
+        kmat = np.block([
+            [zero, _branch_to_axis(lft, axs, par), zero],
+            [_axis_to_branch(axs, lft, par), zero,
+             _axis_to_branch(axs, rgt, par)],
+            [zero, _branch_to_axis(rgt, axs, par), zero]])
+        colw = np.tile(rule.weights, 3) * np.concatenate([dl, da, dr])
+        full = determinant(np.eye(3 * m) - kmat * colw[None, :])
+        assert abs(det_at(PearceyKernel(par, m), m) - full) <= 1e-13
 
 
 def test_pearcey_no_endpoints_gives_one():
@@ -178,7 +190,7 @@ def test_tacnode_empty_gap_gives_one(monkeypatch):
     # assembling, however ill-conditioned L is at sigma = -7 and -9
     def refuse(*args, **kwargs):
         raise AssertionError("an empty gap set needs no matrix")
-    for name in ("matrix_at", "assemble_dd", "dd_det"):
+    for name in ("assemble", "assemble_dd", "dd_det"):
         monkeypatch.setattr("gapdet.gapprob." + name, refuse)
     for sigma in (0.0, -7.0, -9.0):
         e = tacnode_gap_ratio(GapSpec([[]]), TacnodeParams(sigma, (0.0,)))
@@ -276,9 +288,15 @@ def test_tacnode_sigma_window():
         tacnode_gap_ratio(spec, TacnodeParams(-9.5, (0.0,)))
     with pytest.raises(DomainError):
         tacnode_gap_direct(spec, TacnodeParams(9.5, (0.0,)))
-    forced = tacnode_gap_ratio(spec, TacnodeParams(9.5, (0.0,)),
-                               force_sigma=True)
-    assert_allclose(forced.real, 1.0, rtol=0, atol=1e-9)
+    # past sigma ~ 14 the tail envelope falls below sigma_tilde, and the
+    # cutoff must still leave the edge [sigma_tilde, cutoff] a proper
+    # interval
+    for sigma in (9.5, 26.0, 30.0, 60.0):
+        par = TacnodeParams(sigma, (0.0,))
+        forced = tacnode_gap_ratio(spec, par, force_sigma=True)
+        direct = tacnode_gap_direct(spec, par, force_sigma=True)
+        assert_allclose(forced.real, 1.0, rtol=0, atol=1e-9)
+        assert abs(forced.real - direct.real) <= 1e-9
     assert abs(SIGMA_WINDOW) == 9.0
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gapdet.errors import DomainError, SingularRestrictionError
+from gapdet.errors import (DomainError, KernelEvaluationError,
+                           SingularRestrictionError)
 from gapdet.fredholm import assemble, assemble_dd, determinant
 from gapdet.gapprob import tracy_widom_F2
 from gapdet.kernels import (
@@ -17,6 +18,8 @@ from gapdet.kernels import (
     TacnodeDirectKernel,
     TacnodeHKernel,
     TacnodeParams,
+    _axis_to_branch,
+    _branch_to_axis,
     airy_kernel_matrix,
     coupling_matrix,
     ext_airy_matrix,
@@ -27,11 +30,6 @@ from gapdet.quadrature import DomainComponent, gauss_legendre, map_ray
 from gapdet.specfun import airy_ai, airy_ai_prime, airy_shifted, heat_kernel
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
-
-# the Pearcey kernel's component order: left branch, imaginary axis,
-# right branch
-LEFT, AXIS, RIGHT = 0, 1, 2
-
 
 def airy_kernel(x, y):
     return airy_kernel_matrix([x], [y])[0, 0]
@@ -85,44 +83,34 @@ def test_airy_kernel_factorization():
 # ---------------------------------------------------------------------------
 # Pearcey kernel
 
-def test_pearcey_same_component_blocks_vanish():
-    ker = PearceyKernel(PearceyParams(1.0, (-1.0, 1.0)))
-    contour = np.array([1.0 + 0.5j, -1.0 - 0.5j])
-    axis = np.array([0.5j, -2.0j])
-    for i, j in ((LEFT, RIGHT), (RIGHT, RIGHT), (LEFT, LEFT)):
-        assert np.all(ker.entry(i, j, contour, contour[::-1]) == 0.0)
-    assert np.all(ker.entry(AXIS, AXIS, axis, axis[::-1]) == 0.0)
-
-
 def test_pearcey_contour_to_axis_formula():
     from gapdet.specfun import pearcey_phase
 
     par = PearceyParams(0.0, (-1.0, 1.0))
-    lam, mu = 1.0 + 0.0j, 1.0j
-    ker = PearceyKernel(par)
-    got = ker.entry(RIGHT, AXIS, [lam], [mu])[0, 0]
-    assert ker.entry(LEFT, AXIS, [lam], [mu])[0, 0] == got
-    want = np.exp(0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))) \
-        / (2j * np.pi * (lam - mu))
-    assert_allclose(got, complex(want), rtol=1e-14)
+    mu = 1.0j
+    for lam in (1.0 + 0.0j, -1.0 + 0.0j):       # vertex of each branch
+        got = _branch_to_axis(np.array([lam]), np.array([mu]), par)[0, 0]
+        want = np.exp(0.5 * (pearcey_phase(lam, 0.0)
+                             - pearcey_phase(mu, 0.0))) \
+            / (2j * np.pi * (lam - mu))
+        assert_allclose(got, complex(want), rtol=1e-14)
 
 
 def test_pearcey_axis_to_contour_formula():
     from gapdet.specfun import pearcey_phase
 
     par = PearceyParams(0.0, (-1.0, 1.0))
-    lam, mu = 1.0j, 1.0 + 0.0j
-    ker = PearceyKernel(par)
-    got = ker.entry(AXIS, RIGHT, [lam], [mu])[0, 0]
-    assert ker.entry(AXIS, LEFT, [lam], [mu])[0, 0] == got
-    acc = 0.0
-    for k, a in enumerate(par.endpoints):
-        sign = -1.0 if (k + 1) % 2 else 1.0
-        acc += sign * np.exp(
-            -0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))
-            + a * (lam - mu))
-    want = -acc / (2j * np.pi * (lam - mu))
-    assert_allclose(got, complex(want), rtol=1e-14)
+    lam = 1.0j
+    for mu in (1.0 + 0.0j, -1.0 + 0.0j):        # vertex of each branch
+        got = _axis_to_branch(np.array([lam]), np.array([mu]), par)[0, 0]
+        acc = 0.0
+        for k, a in enumerate(par.endpoints):
+            sign = -1.0 if (k + 1) % 2 else 1.0
+            acc += sign * np.exp(
+                -0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))
+                + a * (lam - mu))
+        want = -acc / (2j * np.pi * (lam - mu))
+        assert_allclose(got, complex(want), rtol=1e-14)
 
 
 def test_pearcey_exponent_guard():
@@ -131,27 +119,39 @@ def test_pearcey_exponent_guard():
     and a sum past the guard raises."""
     from gapdet.specfun import pearcey_phase
 
-    ker = PearceyKernel(PearceyParams(0.0, (-1.0, 1.0)))
+    par = PearceyParams(0.0, (-1.0, 1.0))
     lam, mu = 9.0 + 0.0j, 8.0j      # exponents 820 and -512
-    got = ker.entry(RIGHT, AXIS, [lam], [mu])[0, 0]
+    got = _branch_to_axis(np.array([lam]), np.array([mu]), par)[0, 0]
     want = np.exp(0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))) \
         / (2j * np.pi * (lam - mu))
     assert np.isfinite(got)
     # exponents near 800 carry about 2e-13 of relative rounding
     assert_allclose(got, complex(want), rtol=1e-12)
     with pytest.raises(OverflowError):
-        ker.entry(RIGHT, AXIS, [10.0 + 0.0j], [0.0j])     # exponent 1250
+        # exponent 1250
+        _branch_to_axis(np.array([10.0 + 0.0j]), np.array([0.0j]), par)
 
 
 @pytest.mark.parametrize("tau", [0.0, 2.0, 4.0, 6.0])
 def test_pearcey_entries_bounded_on_default_grid(tau):
-    ker = PearceyKernel(PearceyParams(tau, (-1.0, 1.0)))
+    par = PearceyParams(tau, (-1.0, 1.0))
     rule = gauss_legendre(60)
-    pts = [d.map_points(rule.nodes)[0] for d in ker.domains]
-    for i in range(3):
-        for j in range(3):
-            blk = ker.entry(i, j, pts[i], pts[j])
-            assert np.max(np.abs(blk)) <= 1.0
+    axis = DomainComponent.contour_imag().map_points(rule.nodes)[0]
+    for branch in (DomainComponent.contour_left(),
+                   DomainComponent.contour_right()):
+        pts = branch.map_points(rule.nodes)[0]
+        assert np.max(np.abs(_branch_to_axis(pts, axis, par))) <= 1.0
+        assert np.max(np.abs(_axis_to_branch(axis, pts, par))) <= 1.0
+
+
+def test_pearcey_overflow_is_located_on_the_axis():
+    # both branches are eliminated inside the kernel, so a coupling
+    # block's overflow surfaces in the one axis block
+    ker = PearceyKernel(PearceyParams(2.0, (-400.0, 400.0)), 20)
+    with pytest.raises(KernelEvaluationError, match="exponent") as info:
+        assemble(ker, gauss_legendre(20))
+    assert (info.value.block_row, info.value.block_col) == (0, 0)
+    assert info.value.x.real == 0.0 and info.value.y.real == 0.0
 
 
 def test_pearcey_params_validation():
