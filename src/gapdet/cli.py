@@ -25,8 +25,8 @@ from . import __version__
 from .errors import DomainError, GapdetError
 from .gapprob import (airy_gap, pearcey_gap, tacnode_gap_direct,
                       tacnode_gap_ratio, tracy_widom_F2)
-from .kernels import (ConditionedKernel, FormalTacnodeKernel, GapSpec,
-                      PearceyParams, TacnodeParams)
+from .kernels import (_MIN_INNER, ConditionedKernel, FormalTacnodeKernel,
+                      GapSpec, PearceyParams, TacnodeParams)
 from .quadrature import DomainComponent, gauss_legendre
 
 __all__ = ["main", "run_tw", "run_pearcey", "run_tacnode",
@@ -132,7 +132,7 @@ def _meta(args):
 def pearcey_airy_endpoints(tau, rho, sigma):
     """Gap endpoints that push the Pearcey process to two Airy edges; at
     tau = 0 they meet, and below it (tau / 3)^(3/2) is not real."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError("the endpoint map needs tau > 0, got %g" % tau)
     c = 2.0 * (tau / 3.0) ** 1.5
     w = (3.0 * tau) ** (1.0 / 6.0)
@@ -146,7 +146,7 @@ def tacnode_pearcey_times(sigma, taus_p, branch=1.0):
     it.  The spatial scale (-8 sigma)^(1/8) that shrinks the endpoints is
     returned alongside.
     """
-    if sigma >= 0.0:
+    if not sigma < 0.0:
         raise DomainError("the time map needs sigma < 0, got %g" % sigma)
     scale = (-8.0 * sigma) ** 0.125
     base = branch * math.sqrt(-sigma / 2.0)
@@ -395,6 +395,16 @@ def _m0(text):
     return n
 
 
+def _m_inner(text):
+    """argparse type of --m-inner: an integer at least the inner rule's
+    floor."""
+    n = int(text)
+    if n < _MIN_INNER:
+        raise argparse.ArgumentTypeError("expected m_inner >= %d, got %d"
+                                         % (_MIN_INNER, n))
+    return n
+
+
 def _tol(text):
     """argparse type of --tol: a positive finite float."""
     tol = float(text)
@@ -494,7 +504,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--n-samples", type=_count, default=40)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--m-inner", type=int, default=80)
+    p.add_argument("--m-inner", type=_m_inner, default=80)
     _common(p, 40, tol=False)
     return top
 

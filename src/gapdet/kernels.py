@@ -10,8 +10,10 @@ Three families live here:
   the formal extended kernel conditioned on an empty Airy edge.
 
 Kernel classes evaluate whole matrices at once, as do the module-level
-building blocks they are assembled from; all but the never-assembled
-:class:`FormalTacnodeKernel` subclass :class:`gapdet.fredholm.BlockKernel`.
+building blocks they are assembled from.  Those that are assembled
+subclass :class:`gapdet.fredholm.BlockKernel`; :class:`FormalTacnodeKernel`
+and :class:`ConditionedKernel`, which only supply entries to another
+kernel, do not.
 """
 
 from dataclasses import dataclass
@@ -301,8 +303,7 @@ def tacnode_block_entry(i, j, x, y, params):
     if i in (-1, 0) and j in (-1, 0):
         if i == j:
             return np.zeros((x.size, y.size))
-        ai, _ = _airy_eval(X + Y)
-        return -ai
+        return -_airy_eval(X + Y, prime=False)
     if i == -1:
         return airy_shifted(-params.times[j - 1], _CBRT2 * X + sig - Y)
     if i == 0:
@@ -462,18 +463,39 @@ def _inner_rule(m):
     return u, wu
 
 
+def _ext_airy_table(tau, x, m_inner):
+    """Table shifted(tau, x_p + 2^(1/3) v_q) over the ``m_inner``-point ray
+    rule v."""
+    v, _ = _inner_rule(m_inner)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return airy_shifted(tau, x[:, None] + _CBRT2 * v[None, :])
+
+
+def _airy_transform_table(u, m_inner):
+    """Table Ai(v_p + u_q) over the ``m_inner``-point ray rule v."""
+    v, _ = _inner_rule(m_inner)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return _airy_eval(v[:, None] + u[None, :], prime=False)
+
+
 def ext_airy_matrix(tau1, tau2, x, y, m_inner):
     """Two-parameter extension of the Airy kernel on the grid x times y.
 
     Integrates the product of two shifted Airy functions along [0, inf)
-    with an ``m_inner``-point ray rule.
+    with an ``m_inner``-point ray rule: the weighted table of
+    :func:`_ext_airy_table` at tau1 times the table at -tau2.
     """
-    u, wu = _inner_rule(m_inner)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    a1 = airy_shifted(tau1, x[:, None] + _CBRT2 * u[None, :])
-    a2 = airy_shifted(-tau2, y[:, None] + _CBRT2 * u[None, :])
-    return (a1 * wu[None, :]) @ a2.T
+    wv = _inner_rule(m_inner)[1]
+    return (_ext_airy_table(tau1, x, m_inner) * wv[None, :]) \
+        @ _ext_airy_table(-tau2, y, m_inner).T
+
+
+def _coupling_matrix(tau, xi, u, reflection, transform):
+    """:func:`coupling_matrix` from its two inner tables: ``reflection``,
+    the weighted :func:`_ext_airy_table` at (tau, -xi), and ``transform``,
+    the :func:`_airy_transform_table` at u."""
+    return airy_shifted(tau, xi[:, None] + _CBRT2 * u[None, :]) \
+        - reflection @ transform
 
 
 def coupling_matrix(tau, xi, u, m_inner):
@@ -483,17 +505,24 @@ def coupling_matrix(tau, xi, u, m_inner):
     function minus its reflection smoothed by the Airy transform:
     direct(xi, u) - integral over v of shifted(tau, -xi + 2^(1/3) v) Ai(u+v).
     """
-    v, wv = _inner_rule(m_inner)
+    wv = _inner_rule(m_inner)[1]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    term1 = airy_shifted(tau, xi[:, None] + _CBRT2 * u[None, :])
-    f = airy_shifted(tau, -xi[:, None] + _CBRT2 * v[None, :])
-    g, _ = _airy_eval(v[:, None] + u[None, :])
-    return term1 - (f * wv[None, :]) @ g
+    return _coupling_matrix(
+        tau, xi, u, _ext_airy_table(tau, -xi, m_inner) * wv[None, :],
+        _airy_transform_table(u, m_inner))
 
 
 # ---------------------------------------------------------------------------
 # Formal extended kernel, conditioned kernels and the direct tacnode kernel
+
+def _memo(cache, key, make):
+    """``cache[key]``, computed by ``make()`` on first use."""
+    val = cache.get(key)
+    if val is None:
+        val = cache[key] = make()
+    return val
+
 
 class FormalTacnodeKernel:
     """Block kernel of the formal extended process behind the tacnode ratio.
@@ -504,28 +533,58 @@ class FormalTacnodeKernel:
     the positivity probe exhibits.  Only its entries are read, through
     :class:`ConditionedKernel`; it is never assembled, so it carries no
     component layout.
+
+    Every inner-rule table is built once per kernel, and a kernel lives for
+    one ladder rung.  Per time block k and its points x, the tables
+    :func:`_ext_airy_table` at (t_k, sigma - x) and (-t_k, sigma - x) serve
+    both the time-time blocks, as the row table of one and the column table
+    of the other, and the couplings (k, 0) and (0, k), as their reflection
+    tables; the Airy-transform table of the couplings depends only on the
+    block-0 points.
     """
 
     def __init__(self, params, m_inner=80):
         _inner_rule(m_inner)            # rejects a too-coarse inner rule now
         self.params = params
         self.m_inner = m_inner
+        self._tables = {}
+
+    def _ext_table(self, blk, sign, x, weighted=False):
+        """:func:`_ext_airy_table` at (sign t_blk, sigma - x), its columns
+        times the inner rule's weights when ``weighted``."""
+        key = (blk, sign, x.tobytes())
+        if weighted:
+            wv = _inner_rule(self.m_inner)[1]
+            return _memo(self._tables, key + ("w",),
+                         lambda: self._ext_table(blk, sign, x) * wv[None, :])
+        return _memo(self._tables, key, lambda: _ext_airy_table(
+            sign * self.params.times[blk - 1], self.params.sigma - x,
+            self.m_inner))
+
+    def _coupling(self, blk, sign, x, u):
+        """Coupling of time block ``blk`` at points x to block-0 points u,
+        at tau = sign t_blk."""
+        u = np.atleast_1d(u)
+        return _coupling_matrix(
+            sign * self.params.times[blk - 1],
+            np.atleast_1d(x - self.params.sigma), u,
+            self._ext_table(blk, sign, x, weighted=True),
+            _memo(self._tables, ("transform", u.tobytes()),
+                  lambda: _airy_transform_table(u, self.m_inner)))
 
     def entry(self, i, j, x, y):
         x = np.real(np.asarray(x))
         y = np.real(np.asarray(y))
-        sig = self.params.sigma
         if i == 0 and j == 0:
             return airy_kernel_matrix(x, y)
         if i == 0:
-            tj = self.params.times[j - 1]
-            return -coupling_matrix(-tj, y - sig, x, self.m_inner).T
+            return -self._coupling(j, -1.0, y, x).T
         if j == 0:
-            ti = self.params.times[i - 1]
-            return -coupling_matrix(ti, x - sig, y, self.m_inner)
+            return -self._coupling(i, 1.0, x, y)
         ti = self.params.times[i - 1]
         tj = self.params.times[j - 1]
-        out = ext_airy_matrix(ti, tj, sig - x, sig - y, self.m_inner)
+        out = self._ext_table(i, 1.0, x, weighted=True) \
+            @ self._ext_table(j, -1.0, y).T
         if ti > tj:
             out = out - heat_kernel(ti - tj, x[:, None], y[None, :])
         return out
@@ -554,6 +613,11 @@ class ConditionedKernel:
     (living on base block 0), discretized with ``rule``.  Entry evaluation
     adds the resolvent correction K(y1, a) (I - K|_A)^(-1) K(a, y2)
     integrated over the region to the bare kernel.
+
+    The correction's row factor K(y1, a) W depends only on block b1 and
+    its points, and its column factor (I - K|_A)^(-1) K(a, y2) only on b2
+    and its points, so each is built once per (block, points) and kept:
+    a matrix over r blocks evaluates 2r factors, not 2r^2.
     """
 
     def __init__(self, base, a_component, rule):
@@ -566,15 +630,23 @@ class ConditionedKernel:
                        dtype=float), self.colw,
             "conditioning region %s has vanishing free probability"
             % a_component.label)
+        self._factors = {}
+
+    def _row_factor(self, b, y):
+        return _memo(self._factors, (b, True, y.tobytes()),
+                     lambda: np.asarray(self.base.entry(b, 0, y, self.nodes))
+                     * self.colw[None, :])
+
+    def _col_factor(self, b, y):
+        return _memo(self._factors, (b, False, y.tobytes()),
+                     lambda: self._inv @ np.asarray(
+                         self.base.entry(0, b, self.nodes, y), dtype=float))
 
     def value_matrix(self, b1, y1, b2, y2):
         y1 = np.atleast_1d(np.asarray(y1, dtype=float))
         y2 = np.atleast_1d(np.asarray(y2, dtype=float))
         bare = self.base.entry(b1, b2, y1, y2)
-        u = self.base.entry(b1, 0, y1, self.nodes)
-        v = self.base.entry(0, b2, self.nodes, y2)
-        g = self._inv @ np.asarray(v, dtype=float)
-        return bare + (np.asarray(u) * self.colw[None, :]) @ g
+        return bare + self._row_factor(b1, y1) @ self._col_factor(b2, y2)
 
 
 class TacnodeDirectKernel(_LayoutKernel):
@@ -582,7 +654,13 @@ class TacnodeDirectKernel(_LayoutKernel):
 
     It is :class:`FormalTacnodeKernel` conditioned on an empty auxiliary
     edge [sigma_tilde, inf), discretized with the m-point ray rule; a gap
-    component of role k reads the kernel's time block k.
+    component of role k reads the kernel's time block k.  The kernel is
+    built per rung, and it builds each of its tables once, whichever blocks
+    read them: per gap component the coupling row factor and the
+    resolvent-applied coupling column factor (:class:`ConditionedKernel`)
+    and the extended-Airy row and column tables, which the couplings reuse
+    as reflection tables (:class:`FormalTacnodeKernel`); and one
+    Airy-transform table for all couplings.
     """
 
     def __init__(self, params, spec, m):

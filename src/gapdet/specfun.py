@@ -15,6 +15,12 @@ library is used at runtime.  Two regimes cover the window:
   an exact 0.0 (the correctly rounded value) rather than raising.
 
 Accuracy window: x >= -30.  Arguments below -30 raise :class:`DomainError`.
+
+Most callers read Ai alone: :func:`airy_ai`, :func:`airy_shifted` and the
+tacnode and coupling tables in :mod:`gapdet.kernels`.  They call
+``_airy_eval(x, prime=False)``, which skips the Ai' Horner loop of the
+anchors and the v-series of the asymptotic form and returns the same Ai
+bits; only the Airy kernel and :func:`airy_ai_prime` ask for Ai'.
 """
 
 from functools import lru_cache
@@ -59,26 +65,30 @@ def _asym_coeffs(n):
 _U_COEF, _V_COEF = _asym_coeffs(_ASYM_TERMS)
 
 
-def _ai_asym_pos_scaled(x):
-    """Exponential-form expansion, returning (ai*e^zeta, aip*e^zeta, zeta)."""
+def _ai_asym_pos_scaled(x, prime):
+    """Exponential-form expansion, returning (ai*e^zeta, aip*e^zeta, zeta);
+    without ``prime`` the v-series is skipped and aip*e^zeta is None."""
     x = np.asarray(x, dtype=float)
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     t = -1.0 / zeta
     su = np.full_like(x, _U_COEF[-1])
-    sv = np.full_like(x, _V_COEF[-1])
     for k in range(_ASYM_TERMS - 2, -1, -1):
         su = su * t + _U_COEF[k]
-        sv = sv * t + _V_COEF[k]
     root = np.sqrt(np.sqrt(x))
     amp_ai = su / (2.0 * _SQRT_PI * root)
+    if not prime:
+        return amp_ai, None, zeta
+    sv = np.full_like(x, _V_COEF[-1])
+    for k in range(_ASYM_TERMS - 2, -1, -1):
+        sv = sv * t + _V_COEF[k]
     amp_aip = -sv * root / (2.0 * _SQRT_PI)
     return amp_ai, amp_aip, zeta
 
 
-def _ai_asym_pos(x):
-    amp_ai, amp_aip, zeta = _ai_asym_pos_scaled(x)
+def _ai_asym_pos(x, prime):
+    amp_ai, amp_aip, zeta = _ai_asym_pos_scaled(x, prime)
     damp = np.exp(-zeta)
-    return amp_ai * damp, amp_aip * damp
+    return (amp_ai * damp, amp_aip * damp) if prime else (amp_ai * damp,)
 
 
 @lru_cache(maxsize=1)
@@ -89,7 +99,9 @@ def _anchor_coeffs():
             np.ascontiguousarray(d_hi[:, :_EVAL_ORDER - 1].T))
 
 
-def _ai_anchor(x):
+def _ai_anchor(x, prime):
+    """(Ai, Ai') from the anchor Taylor polynomials, or (Ai,) without
+    ``prime``."""
     coef, dcoef = _anchor_coeffs()
     idx = np.rint((_ANCHOR_TOP - x) / _ANCHOR_STEP).astype(np.intp)
     idx = np.clip(idx, 0, coef.shape[1] - 1)
@@ -98,6 +110,8 @@ def _ai_anchor(x):
     for k in range(_EVAL_ORDER - 2, -1, -1):
         ai *= h
         ai += coef[k][idx]
+    if not prime:
+        return (ai,)
     aip = dcoef[-1][idx]
     for k in range(_EVAL_ORDER - 3, -1, -1):
         aip *= h
@@ -105,8 +119,14 @@ def _ai_anchor(x):
     return ai, aip
 
 
-def _airy_eval(x):
-    """Vectorized (Ai, Ai') over the supported window."""
+def _airy_eval(x, prime=True):
+    """Vectorized (Ai, Ai') over the supported window.
+
+    With ``prime=False`` it returns the Ai array alone, bit for bit the Ai
+    of the pair, without computing Ai'.  Every float64 Airy point of the
+    package outside :func:`airy_shifted`'s asymptotic branch goes through
+    here, so this is the one place that counts them.
+    """
     x = np.asarray(x, dtype=float)
     if x.size and float(np.min(x)) < AIRY_WINDOW_MIN:
         raise DomainError(
@@ -114,21 +134,23 @@ def _airy_eval(x):
             % (float(np.min(x)), AIRY_WINDOW_MIN))
     near = x < _ANCHOR_TOP
     if np.all(near):
-        return _ai_anchor(x)
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    if np.any(near):
-        ai[near], aip[near] = _ai_anchor(x[near])
-    far = ~near
-    with np.errstate(under="ignore"):
-        ai[far], aip[far] = _ai_asym_pos(x[far])
-    return ai, aip
+        vals = _ai_anchor(x, prime)
+    else:
+        vals = tuple(np.empty_like(x) for _ in range(2 if prime else 1))
+        if np.any(near):
+            for out, val in zip(vals, _ai_anchor(x[near], prime)):
+                out[near] = val
+        far = ~near
+        with np.errstate(under="ignore"):
+            for out, val in zip(vals, _ai_asym_pos(x[far], prime)):
+                out[far] = val
+    return vals if prime else vals[0]
 
 
 def airy_ai(x):
     """Ai(x) for scalar or array x; accuracy window x >= -30."""
     arr = np.asarray(x, dtype=float)
-    ai, _ = _airy_eval(arr)
+    ai = _airy_eval(arr, prime=False)
     return float(ai) if np.isscalar(x) or arr.ndim == 0 else ai
 
 
@@ -156,7 +178,7 @@ def airy_shifted(tau, x):
 
     far = w >= _ANCHOR_TOP
     if np.any(far):
-        amp_ai, _, zeta = _ai_asym_pos_scaled(w[far])
+        amp_ai, _, zeta = _ai_asym_pos_scaled(w[far], False)
         expo = pref[far] - zeta
         if np.any(expo > 700.0):
             raise OverflowError(
@@ -166,7 +188,7 @@ def airy_shifted(tau, x):
             out[far] = _TWO_SIXTH * amp_ai * np.exp(expo)
     near = ~far
     if np.any(near):
-        aiw, _ = _airy_eval(w[near])
+        aiw = _airy_eval(w[near], prime=False)
         pn = pref[near]
         with np.errstate(divide="ignore"):
             total = pn + np.log(np.abs(aiw))

@@ -250,9 +250,11 @@ def test_positivity_probe_reports_kernel_failure(capsys, monkeypatch):
 
 
 def test_positivity_probe_rejects_coarse_inner_rule(capsys):
-    rc = main(["positivity-probe", "--n-samples", "0", "--m-inner", "5"])
-    assert rc == 2
-    assert "m_inner must be at least 20" in capsys.readouterr().err
+    # an argument error like --m0 5, not a row that failed numerically
+    with pytest.raises(SystemExit) as exc:
+        main(["positivity-probe", "--n-samples", "0", "--m-inner", "5"])
+    assert exc.value.code == 3
+    assert "expected m_inner >= 20, got 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,21 @@ def test_pearcey_airy_endpoint_map():
     for tau in (0.0, -1.0):
         with pytest.raises(DomainError):
             pearcey_airy_endpoints(tau, 0.0, 0.0)
+
+
+def test_limit_maps_reject_nan():
+    with pytest.raises(DomainError, match="needs tau > 0, got nan"):
+        pearcey_airy_endpoints(math.nan, 0.0, 0.0)
+    with pytest.raises(DomainError, match="needs sigma < 0, got nan"):
+        tacnode_pearcey_times(math.nan, [0.0])
+
+
+def test_scan_tacnode_pearcey_nan_sigma_row_names_sigma(capsys):
+    rc, text = run_text(capsys, ["scan-tacnode-pearcey", "--sigmas", "nan"])
+    assert rc == 2
+    row = parse_rows(text)[0]
+    assert "the time map needs sigma < 0" in row["error"]
+    assert row["F_tac"] == ""
 
 
 def test_tacnode_pearcey_time_map():

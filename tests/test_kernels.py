@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gapdet import gapprob, kernels
 from gapdet.errors import (DomainError, KernelEvaluationError,
                            SingularRestrictionError)
 from gapdet.fredholm import assemble, assemble_dd, determinant
@@ -390,6 +391,59 @@ def test_direct_kernel_symmetric_at_equal_times():
     x = np.array([0.4, -0.6])
     got = ker.entry(0, 0, x, x)
     assert_allclose(got[0, 1], got[1, 0], rtol=1e-12)
+
+
+def _two_time_direct():
+    return (GapSpec([[(-1.0, 0.0)], [(-1.0, 1.0)]]),
+            TacnodeParams(-2.0, (-0.5, 0.5)))
+
+
+def test_direct_kernel_builds_each_table_once_per_component(monkeypatch):
+    # per rung and gap component: one coupling row, one coupling column and
+    # the two extended-Airy tables, however many blocks read them; the
+    # Airy-transform table is shared by all couplings of the rung
+    calls = {}
+
+    def count(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    count(gapprob, "TacnodeDirectKernel")
+    for name in ("_coupling_matrix", "_ext_airy_table",
+                 "_airy_transform_table"):
+        count(kernels, name)
+    spec, par = _two_time_direct()
+    gapprob.tacnode_gap_direct(spec, par)
+    rungs = calls["TacnodeDirectKernel"]
+    assert rungs >= 2
+    r = len(spec.flat())
+    assert calls["_coupling_matrix"] == 2 * r * rungs
+    assert calls["_ext_airy_table"] == 2 * r * rungs
+    assert calls["_airy_transform_table"] == rungs
+
+
+def test_direct_kernel_blocks_equal_their_formula_bit_for_bit():
+    # the shared tables give the bits of the block-by-block formula
+    spec, par = _two_time_direct()
+    ker = TacnodeDirectKernel(par, spec, 24)
+    ck = ker.conditioned
+    sig = par.sigma
+    pts = [dom.map_points(gauss_legendre(24).nodes)[0]
+           for dom in ker.domains]
+    for i, ti in enumerate(par.times):
+        for j, tj in enumerate(par.times):
+            x, y = pts[i], pts[j]
+            want = ext_airy_matrix(ti, tj, sig - x, sig - y, 80)
+            if ti > tj:
+                want = want - heat_kernel(ti - tj, x[:, None], y[None, :])
+            row = -coupling_matrix(ti, x - sig, ck.nodes, 80)
+            col = -coupling_matrix(-tj, y - sig, ck.nodes, 80).T
+            want = want + (row * ck.colw[None, :]) @ (ck._inv @ col)
+            got = ker.entry(i, j, x, y)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

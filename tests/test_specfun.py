@@ -10,6 +10,7 @@ from gapdet.errors import DomainError
 from gapdet.quadrature import gauss_legendre, map_contour_right
 from gapdet.specfun import (
     AIRY_WINDOW_MIN,
+    _airy_eval,
     airy_ai,
     airy_ai_prime,
     airy_shifted,
@@ -43,6 +44,24 @@ def test_airy_matches_golden_table():
     pos = (x > 0.0) & (x < 16.0)
     assert_allclose(airy_ai(x[pos]), ai[pos], rtol=1e-14, atol=0)
     assert_allclose(airy_ai_prime(x[pos]), aip[pos], rtol=1e-14, atol=0)
+
+
+def test_airy_ai_only_matches_pair_bit_for_bit():
+    # the grid crosses the anchor/asymptotic seam at 16 and runs on into
+    # the tail where Ai underflows to subnormals and then to 0
+    xs = np.concatenate([np.linspace(-30.0, 60.0, 1801),
+                         np.linspace(61.0, 120.0, 60)])
+    ai, _ = _airy_eval(xs)
+    assert ai[-1] == 0.0 and 0.0 < ai[-15] < 2.3e-308
+    bits = ai.view(np.int64)
+    assert np.array_equal(_airy_eval(xs, prime=False).view(np.int64), bits)
+    assert np.array_equal(airy_ai(xs).view(np.int64), bits)
+    # arrays on one side of the seam take the single-regime paths
+    for part in (xs[xs < 16.0], xs[xs >= 16.0]):
+        assert np.array_equal(_airy_eval(part, prime=False).view(np.int64),
+                              _airy_eval(part)[0].view(np.int64))
+    for x in (-30.0, -2.7, 15.99, 16.0, 60.0):
+        assert airy_ai(x) == float(_airy_eval(x)[0])
 
 
 def test_airy_vectorized_matches_scalar():
