@@ -38,7 +38,8 @@ class NonConvergenceError(GapdetError, RuntimeError):
 
 
 class SingularRestrictionError(GapdetError, RuntimeError):
-    """A restricted operator is singular to working precision."""
+    """A restricted operator is singular to working precision; raised only
+    by :class:`gapdet.kernels.ConditionedKernel`."""
 
     def __init__(self, message, rcond=None):
         super().__init__(message)
@@ -48,9 +49,9 @@ class SingularRestrictionError(GapdetError, RuntimeError):
 class DivisionInstabilityError(GapdetError, RuntimeError):
     """A determinant ratio cannot be trusted (denominator accuracy lost).
 
-    ``rounding_floor`` is the relative rounding estimate of the float64 ratio
-    and ``tol`` the tolerance it exceeds, when the error was raised on
-    that comparison.
+    ``rounding_floor`` is the relative rounding estimate of a float64 tacnode
+    value, on either route, and ``tol`` the tolerance it exceeds, when the
+    error was raised on that comparison.
     """
 
     def __init__(self, message, rounding_floor=None, tol=None):

@@ -19,8 +19,8 @@ Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
-one kernel; :mod:`gapdet.gapprob` also runs it over kernels rebuilt on each
-rung's rule and over the tacnode ratio's Schur complement.
+one kernel; :mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt
+on each rung's rule and over the Schur complement both tacnode routes take.
 """
 
 from dataclasses import dataclass, field
@@ -73,14 +73,15 @@ class DetResult:
 
     ``err_estimate`` is the Cauchy difference between the last two rungs,
     floored at one ulp of the value: two rungs that round to the same float
-    confirm it only to its last bit.  On float64 tacnode ratios it is also
-    at least ``parts["rounding_floor"]`` times |value|, the first-order
-    estimate eps (1/rcond_numerator + 1/rcond_denominator) of the ratio's
-    relative LU rounding error, with rcond_denominator that of the
-    numerator's leading (R+, edge) block, whose determinant is the
-    denominator.  That floor is measured once, at m0: rcond hardly moves
-    under refinement (for the gap [-1, 1] at sigma = -4 the numerator's is
-    7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
+    confirm it only to its last bit.  On float64 rows of both tacnode
+    routes it is also at least ``parts["rounding_floor"]`` times |value|,
+    the first-order estimate eps (1/rcond_numerator + 1/rcond_denominator)
+    of the relative LU rounding error of det S, with rcond_denominator that
+    of the leading edge block that S divides out: the ratio's (R+, edge)
+    block, whose determinant is the denominator, and the direct route's
+    edge restriction.  That floor is measured once, at m0: rcond hardly
+    moves under refinement (for the gap [-1, 1] at sigma = -4 the ratio
+    numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
     the node count of the final rung per domain component, on every route.
     ``parts`` holds whatever else the final rung reported, and is always a
     dict.  ``imag_residual`` is |Im value|, which is quadrature noise when

@@ -4,34 +4,36 @@ Three families are exposed: the Tracy-Widom distribution (Airy kernel on a
 ray), the Pearcey gap probability (contour kernel over two hyperbolas and
 the imaginary axis), and the tacnode gap probability.  The tacnode value
 is computed by two independent routes: the determinant ratio of the
-coupled block kernel against an Airy denominator, and the direct
-space-time kernel restricted to the gap set.  Agreement of the two routes
-is the strongest correctness check the package has; the test suite
-exercises it on a parameter grid.
+coupled block kernel against an Airy denominator, and the formal extended
+kernel conditioned on an empty edge.  Agreement of the two routes is the
+strongest correctness check the package has; the test suite exercises it
+on a parameter grid.
 
-The ratio is one determinant.  The numerator matrix N = I - K W leads with
-its (R+, edge) block L, whose determinant is the Airy denominator
-F2(sigma_tilde) on the numerator's own rule, so the ratio is det S for the
-gap block's Schur complement S = N_GG - N_GL L^-1 N_LG.  As sigma drops, N
-and L become ill-conditioned together while det S stays of order one, and
-its digits fall off the end of float64 long before the quadrature has
-converged.  The error budget picks the precision: the float64 rung at m0
-measures the exact 1-norm rcond of N and of L, and the ratio's relative
-rounding floor eps (1/rcond_numerator + 1/rcond_denominator), the
-first-order estimate eps kappa of a dense LU's rounding error without the
-order-n constant of its bound (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., ch. 15).
+Each route is one determinant, and both share its rung and precision
+driver.  The matrix N = I - K W leads with an edge block L, the ratio's
+(R+, edge) block, whose determinant is the Airy denominator
+F2(sigma_tilde) on N's own rule, or the direct route's edge ray
+[sigma_tilde, inf); the value is det S for the gap block's Schur
+complement S = N_GG - N_GL L^-1 N_LG.  As sigma drops, N and L become
+ill-conditioned together while det S stays of order one, and its digits
+fall off the end of float64 long before the quadrature has converged.  The
+error budget picks the precision: the float64 rung at m0 measures the
+exact 1-norm rcond of N and of L, and the relative rounding floor
+eps (1/rcond_numerator + 1/rcond_denominator), the first-order estimate
+eps kappa of a dense LU's rounding error without the order-n constant of
+its bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., ch. 15).
 A floor within the tolerance keeps the ladder in float64, reusing that
-rung; a floor above it sends real interval weights to the double-double
-engine (see :mod:`gapdet.ddmath`), which is all the deep-overlap scans
-need, and raises :class:`DivisionInstabilityError` for complex weights,
-which have no double-double path.  The floor is relative and is not
-scaled by the value: the value is a probability, so meeting the tolerance
-relatively also meets it absolutely, and small probabilities keep their
-relative digits.  Both precisions discretize one
+rung; a floor above it sends ratios with real interval weights to the
+double-double engine (see :mod:`gapdet.ddmath`), which is all the
+deep-overlap scans need, and raises :class:`DivisionInstabilityError` for
+complex weights and on the direct route, which have no double-double
+path.  The floor is relative and is not scaled by the value: the value is
+a probability, so meeting the tolerance relatively also meets it
+absolutely, and small probabilities keep their relative digits.  The
+ratio's two precisions discretize one
 :class:`gapdet.kernels.TacnodeHKernel` on the same components, through
-:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`,
-and the route only picks which of the two rung functions runs.
+:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`.
 """
 
 import math
@@ -44,7 +46,7 @@ from .errors import DivisionInstabilityError, DomainError, SanityCheckError
 from .fredholm import (assemble, assemble_dd, check_ladder, det_at,
                        determinant, fredholm_det, inverse_rcond, ladder)
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
-                      TacnodeHKernel, check_slots, parse_interval)
+                      TacnodeHKernel, parse_interval)
 from .quadrature import DomainComponent, gauss_legendre
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
@@ -129,7 +131,7 @@ def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
 
 
 # ---------------------------------------------------------------------------
-# Tacnode, ratio route
+# Tacnode: the shared Schur rung and the ratio route
 
 def _check_sigma_window(params, force_sigma):
     if abs(params.sigma) > SIGMA_WINDOW and not force_sigma:
@@ -139,26 +141,54 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _ratio_rung_f64(kernel, m, m0_parts=None):
-    """Float64 ratio det S at m.  The rung at m0, called without
-    ``m0_parts``, measures the exact 1-norm rcond of N and of its leading
-    block L and the ratio's relative rounding floor
-    eps (1/rcond_numerator + 1/rcond_denominator); later rungs carry those
-    of ``m0_parts``, the m0 rung's parts.
+def _schur_rung_f64(kernel, m, parts):
+    """Float64 det S at m, eliminating the first ``kernel.n_edge``
+    components, in real arithmetic when N is real.  Returns det S and
+    ``parts``; the m0 rung, whose ``parts`` have no ``rounding_floor`` yet,
+    adds the rconds of N and L and the floor they give.
     """
     mat = assemble(kernel, gauss_legendre(m))
+    if not mat.imag.any():
+        mat = mat.real
     k = kernel.n_edge * m
     lead = mat[:k, :k]
     schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
-    if m0_parts is None:
+    if "rounding_floor" not in parts:
         rc_num = inverse_rcond(mat)[1]
         rc_den = inverse_rcond(lead)[1]
         floor = _EPS / rc_num + _EPS / rc_den \
             if rc_num > 0.0 and rc_den > 0.0 else math.inf
-        m0_parts = {"rounding_floor": floor, "rcond_numerator": rc_num,
-                    "rcond_denominator": rc_den}
-    return determinant(schur), dict(m0_parts, route="float64",
-                                    cutoff=kernel.cutoff)
+        parts = dict(parts, rounding_floor=floor, rcond_numerator=rc_num,
+                     rcond_denominator=rc_den)
+    return determinant(schur), parts
+
+
+def _schur_ladder(kernel, m0, tol, n_comp, parts, dd_rung, what):
+    """Ladder over det S in the precision that the m0 rung's rounding floor
+    allows (see the module docstring), for both tacnode routes.
+
+    Without gap components S is 0 x 0 and the value exactly 1.  Above the
+    floor the ladder runs ``dd_rung``, or raises
+    :class:`DivisionInstabilityError` naming ``what`` when it is None.
+    ``parts`` seed every rung's parts; ``m_used`` has ``n_comp`` entries.
+    """
+    check_ladder(m0, tol)
+    if len(kernel.domains) == kernel.n_edge:
+        return ladder(lambda m: (1.0, dict(parts, rounding_floor=0.0)),
+                      m0, tol, n_comp)
+    first = _schur_rung_f64(kernel, m0, parts)
+    floor = first[1]["rounding_floor"]
+    if floor <= tol:
+        return ladder(lambda m: first if m == m0 else
+                      _schur_rung_f64(kernel, m, first[1]), m0, tol, n_comp)
+    if dd_rung is None:
+        raise DivisionInstabilityError(
+            "float64 rounding floor %.3e exceeds tol %.3e, and %s has no "
+            "double-double rung" % (floor, tol, what),
+            rounding_floor=floor, tol=tol)
+    res = ladder(dd_rung, m0, tol, n_comp)
+    res.parts["rounding_floor"] = floor
+    return res
 
 
 def _ratio_rung_dd(kernel, m):
@@ -178,46 +208,26 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     of the gap block's Schur complement (see the module docstring), and
     both determinants share the rule and the cutoff X by construction.
 
-    An empty gap set returns exactly 1 at once, as the direct route does,
-    without assembling: S is 0 x 0 whatever the conditioning of L, so
-    the row reports route float64 and a rounding floor of 0.  With every
+    An empty gap set returns exactly 1 without assembling, as the direct
+    route does: S is 0 x 0 whatever the conditioning of L.  With every
     weight at z = 1, S is the identity and the ratio is exactly 1; that
     case runs through the ordinary code path as an accuracy check.
 
-    The float64 rung at m0 measures the ratio's relative rounding floor
-    (see the module docstring).  At most tol, the ladder stays in float64
-    and reuses that rung; above it, real weights climb the ladder in
-    double-double and complex weights raise
+    Above the float64 rounding floor (see the module docstring) real
+    weights climb the ladder in double-double, and complex weights raise
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
-    ``tol``.  Returns a :class:`DetResult` whose ``parts`` carry the route
-    taken, the cutoff and the m0 ``rounding_floor``; rows that ran the
-    float64 rung add the rconds of N and L.  |sigma| beyond the stability
-    window raises unless ``force_sigma`` is set.
+    ``tol``.  ``parts`` carry the route taken, the cutoff and the m0
+    ``rounding_floor``; float64 rows add the rconds of N and L.  |sigma|
+    beyond the stability window raises unless ``force_sigma`` is set.
     """
     _check_sigma_window(params, force_sigma)
-    check_ladder(m0, tol)
     kernel = TacnodeHKernel(params, spec)
     weights = [z for _, _, _, z in spec.flat()]
-    n_comp = len(kernel.domains)
-    if not weights:
-        return ladder(lambda m: (1.0, {"route": "float64",
-                                       "rounding_floor": 0.0,
-                                       "cutoff": kernel.cutoff}),
-                      m0, tol, n_comp)
-    first = _ratio_rung_f64(kernel, m0)
-    floor = first[1]["rounding_floor"]
-    if floor <= tol:
-        res = ladder(lambda m: first if m == m0 else
-                     _ratio_rung_f64(kernel, m, first[1]),
-                     m0, tol, n_comp)
-    elif all(z.imag == 0.0 for z in weights):
-        res = ladder(lambda m: _ratio_rung_dd(kernel, m), m0, tol, n_comp)
-        res.parts["rounding_floor"] = floor
-    else:
-        raise DivisionInstabilityError(
-            "float64 rounding floor %.3e of the ratio exceeds tol %.3e, "
-            "and complex weights have no double-double route"
-            % (floor, tol), rounding_floor=floor, tol=tol)
+    dd_rung = (lambda m: _ratio_rung_dd(kernel, m)) \
+        if all(z.imag == 0.0 for z in weights) else None
+    res = _schur_ladder(kernel, m0, tol, len(kernel.domains),
+                        {"route": "float64", "cutoff": kernel.cutoff},
+                        dd_rung, "a ratio with complex weights")
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
@@ -231,27 +241,23 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
 
     det(I - K restricted to the gap intervals), with K the formal extended
     kernel conditioned on an empty edge [sigma_tilde, inf): the extended
-    Airy kernel, the Gaussian transition and the Airy-resolvent correction
-    (:class:`gapdet.kernels.TacnodeDirectKernel`).  The kernel is rebuilt
-    at every rung so the edge's node count matches the outer rule.  This
-    route exists to cross-validate :func:`tacnode_gap_ratio`; it stays in
-    float64, so it loses accuracy at deep negative sigma where the edge
-    restriction becomes singular, and it reports that honestly.  An empty
-    gap set has probability exactly 1 and builds no kernel.
+    Airy kernel, the Gaussian transition and the Airy-resolvent correction.
+    :class:`gapdet.kernels.TacnodeDirectKernel` lays the formal kernel out
+    over the edge and the gaps, once per call, and the gap block's Schur
+    complement conditions it, through the ratio's own rung and floor.  This
+    route cross-validates :func:`tacnode_gap_ratio` in the kernel formula.
+    It has no double-double rung: above its float64 rounding floor (at the
+    default tol, from about sigma = -5 for the gap [-1, 1]) it raises
+    :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
+    ``tol``.  ``parts`` are the ratio's, with route ``"direct"`` and no
+    cutoff; ``m_used`` counts the gap intervals only.  An empty gap set
+    returns exactly 1 without assembling.
     """
     _check_sigma_window(params, force_sigma)
-    check_slots(spec, params)
-    gaps = spec.flat()
-
-    def rung(m):
-        if not gaps:
-            return 1.0, {"route": "direct"}
-        kernel = TacnodeDirectKernel(params, spec, m)
-        return det_at(kernel, m), {"route": "direct",
-                                   "resolvent_rcond": kernel.conditioned.rcond}
-
-    res = ladder(rung, m0, tol, len(gaps))
-    if all(z == 0.0 for _, _, _, z in gaps):
+    kernel = TacnodeDirectKernel(params, spec)
+    res = _schur_ladder(kernel, m0, tol, len(kernel.domains) - 1,
+                        {"route": "direct"}, None, "the direct route")
+    if all(z == 0.0 for _, _, _, z in spec.flat()):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
 

@@ -6,14 +6,15 @@ Three families live here:
 * the Pearcey kernel on the imaginary axis, with its two hyperbola branches
   eliminated on the same rule;
 * the tacnode blocks: the coupled block kernel whose determinant ratio gives
-  the tacnode gap probability, and the direct space-time kernel, which is
-  the formal extended kernel conditioned on an empty Airy edge.
+  the tacnode gap probability, and the direct tacnode kernel, the formal
+  extended kernel laid out over an Airy edge and the gaps, whose gap block's
+  Schur complement conditions it on an empty edge.
 
 Kernel classes evaluate whole matrices at once, as do the module-level
 building blocks they are assembled from.  Those that are assembled
-subclass :class:`gapdet.fredholm.BlockKernel`; :class:`FormalTacnodeKernel`
-and :class:`ConditionedKernel`, which only supply entries to another
-kernel, do not.
+subclass :class:`gapdet.fredholm.BlockKernel`; :class:`FormalTacnodeKernel`,
+which supplies the direct kernel's entries, and :class:`ConditionedKernel`,
+which the positivity probe reads through an explicit resolvent, do not.
 """
 
 from dataclasses import dataclass
@@ -514,7 +515,8 @@ def coupling_matrix(tau, xi, u, m_inner):
 
 
 # ---------------------------------------------------------------------------
-# Formal extended kernel, conditioned kernels and the direct tacnode kernel
+# Formal extended kernel, the conditioned kernel and the direct tacnode
+# kernel
 
 def _memo(cache, key, make):
     """``cache[key]``, computed by ``make()`` on first use."""
@@ -530,17 +532,17 @@ class FormalTacnodeKernel:
     Block 0 is a full auxiliary real line; blocks 1..r are the time slices.
     The gap identity factorizes through this kernel, but it is not
     a bona fide correlation kernel: minors can go negative, which is what
-    the positivity probe exhibits.  Only its entries are read, through
-    :class:`ConditionedKernel`; it is never assembled, so it carries no
-    component layout.
+    the positivity probe exhibits.  It carries no component layout of its
+    own: :class:`TacnodeDirectKernel` lays its blocks out for assembly, and
+    :class:`ConditionedKernel` reads its entries for the positivity probe.
 
-    Every inner-rule table is built once per kernel, and a kernel lives for
-    one ladder rung.  Per time block k and its points x, the tables
-    :func:`_ext_airy_table` at (t_k, sigma - x) and (-t_k, sigma - x) serve
-    both the time-time blocks, as the row table of one and the column table
-    of the other, and the couplings (k, 0) and (0, k), as their reflection
-    tables; the Airy-transform table of the couplings depends only on the
-    block-0 points.
+    Every inner-rule table is built once per kernel and set of points.  Per
+    time block k and its points x, the tables :func:`_ext_airy_table` at
+    (t_k, sigma - x) and (-t_k, sigma - x) serve both the time-time blocks,
+    as the row table of one and the column table of the other, and the
+    couplings (k, 0) and (0, k), as their reflection tables; the
+    Airy-transform table of the couplings depends only on the block-0
+    points.
     """
 
     def __init__(self, params, m_inner=80):
@@ -590,34 +592,16 @@ class FormalTacnodeKernel:
         return out
 
 
-def _factor_restriction(kmat, colw, what):
-    """Inverse of A = I - K diag(colw) and its exact 1-norm reciprocal
-    condition number (:func:`gapdet.fredholm.inverse_rcond`).
-
-    Raises :class:`SingularRestrictionError`, led by ``what``, when A is
-    exactly singular or the reciprocal condition number is below 1e-13.
-    """
-    mat = -kmat * colw[None, :]
-    mat[np.diag_indices(len(colw))] += 1.0
-    inv, rcond = inverse_rcond(mat)
-    if not rcond >= 1e-13:
-        raise SingularRestrictionError("%s (rcond %.3e)" % (what, rcond),
-                                       rcond=rcond)
-    return inv, rcond
-
-
 class ConditionedKernel:
     """Kernel of a determinantal process conditioned on an empty region.
 
     ``base`` is a block kernel, ``a_component`` the region swept empty
     (living on base block 0), discretized with ``rule``.  Entry evaluation
     adds the resolvent correction K(y1, a) (I - K|_A)^(-1) K(a, y2)
-    integrated over the region to the bare kernel.
-
-    The correction's row factor K(y1, a) W depends only on block b1 and
-    its points, and its column factor (I - K|_A)^(-1) K(a, y2) only on b2
-    and its points, so each is built once per (block, points) and kept:
-    a matrix over r blocks evaluates 2r factors, not 2r^2.
+    integrated over the region to the bare kernel.  Construction raises
+    :class:`SingularRestrictionError` when I - K|_A W is exactly singular or
+    its exact 1-norm reciprocal condition number
+    (:func:`gapdet.fredholm.inverse_rcond`) is below 1e-13.
     """
 
     def __init__(self, base, a_component, rule):
@@ -625,53 +609,51 @@ class ConditionedKernel:
         pts, dp = a_component.map_points(rule.nodes)
         self.nodes = np.asarray(pts)
         self.colw = rule.weights * dp
-        self._inv, self.rcond = _factor_restriction(
-            np.asarray(base.entry(0, 0, self.nodes, self.nodes),
-                       dtype=float), self.colw,
-            "conditioning region %s has vanishing free probability"
-            % a_component.label)
-        self._factors = {}
-
-    def _row_factor(self, b, y):
-        return _memo(self._factors, (b, True, y.tobytes()),
-                     lambda: np.asarray(self.base.entry(b, 0, y, self.nodes))
-                     * self.colw[None, :])
-
-    def _col_factor(self, b, y):
-        return _memo(self._factors, (b, False, y.tobytes()),
-                     lambda: self._inv @ np.asarray(
-                         self.base.entry(0, b, self.nodes, y), dtype=float))
+        mat = -np.asarray(base.entry(0, 0, self.nodes, self.nodes),
+                          dtype=float) * self.colw[None, :]
+        mat[np.diag_indices(len(self.colw))] += 1.0
+        self._inv, self.rcond = inverse_rcond(mat)
+        if not self.rcond >= 1e-13:
+            raise SingularRestrictionError(
+                "conditioning region %s has vanishing free probability "
+                "(rcond %.3e)" % (a_component.label, self.rcond),
+                rcond=self.rcond)
 
     def value_matrix(self, b1, y1, b2, y2):
         y1 = np.atleast_1d(np.asarray(y1, dtype=float))
         y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-        bare = self.base.entry(b1, b2, y1, y2)
-        return bare + self._row_factor(b1, y1) @ self._col_factor(b2, y2)
+        row = np.asarray(self.base.entry(b1, 0, y1, self.nodes)) \
+            * self.colw[None, :]
+        col = self._inv @ np.asarray(self.base.entry(0, b2, self.nodes, y2),
+                                     dtype=float)
+        return self.base.entry(b1, b2, y1, y2) + row @ col
 
 
 class TacnodeDirectKernel(_LayoutKernel):
-    """Direct tacnode kernel over the gap components of :func:`_gap_layout`.
+    """Direct tacnode kernel: :class:`FormalTacnodeKernel` laid out over the
+    edge [sigma_tilde, inf) and the gap components of :func:`_gap_layout`.
 
-    It is :class:`FormalTacnodeKernel` conditioned on an empty auxiliary
-    edge [sigma_tilde, inf), discretized with the m-point ray rule; a gap
-    component of role k reads the kernel's time block k.  The kernel is
-    built per rung, and it builds each of its tables once, whichever blocks
-    read them: per gap component the coupling row factor and the
-    resolvent-applied coupling column factor (:class:`ConditionedKernel`)
-    and the extended-Airy row and column tables, which the couplings reuse
-    as reflection tables (:class:`FormalTacnodeKernel`); and one
-    Airy-transform table for all couplings.
+    The edge leads the layout with weight 1 and reads the formal kernel's
+    block 0; ``n_edge`` = 1 counts it.  A gap component of role k reads
+    time block k.  Over this layout the gap block's Schur complement of
+    I - K W is I - K_c W on the gaps, with K_c the formal kernel
+    conditioned on an empty edge, so det S is the tacnode gap probability
+    and :func:`gapdet.gapprob.tacnode_gap_direct` takes it as the ratio
+    route takes its own.  The kernel serves every rung of a call; per
+    rung it builds each gap component's two extended-Airy tables, which
+    the couplings reuse as reflection tables, and one Airy-transform table
+    on the edge points (:class:`FormalTacnodeKernel`).
     """
 
-    def __init__(self, params, spec, m):
+    n_edge = 1
+
+    def __init__(self, params, spec):
         check_slots(spec, params)
-        super().__init__(_gap_layout(spec))
+        super().__init__([(0, 1.0, DomainComponent.ray(params.sigma_tilde))]
+                         + _gap_layout(spec))
         self.params = params
         self.spec = spec
-        self.conditioned = ConditionedKernel(
-            FormalTacnodeKernel(params),
-            DomainComponent.ray(params.sigma_tilde), gauss_legendre(m))
+        self._formal = FormalTacnodeKernel(params)
 
     def entry(self, i, j, x, y):
-        return self.conditioned.value_matrix(self._roles[i], np.real(x),
-                                             self._roles[j], np.real(y))
+        return self._formal.entry(self._roles[i], self._roles[j], x, y)

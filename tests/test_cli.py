@@ -208,6 +208,27 @@ def test_tacnode_json_diagnostics(capsys):
     assert "err_estimate" not in row
 
 
+def test_tacnode_direct_json_carries_rounding_floor(capsys):
+    rc, text = run_text(capsys, ["tacnode", "--sigma", "-4", "--route",
+                                 "direct", "--intervals=-1:1", "--json"])
+    assert rc == 0
+    row = json.loads(text)["rows"][0]
+    assert row["route"] == "direct"
+    assert 0.0 < row["rounding_floor"] <= 1e-8
+    assert row["err"] >= row["rounding_floor"] * row["F_tac"]
+
+
+def test_tacnode_direct_deep_sigma_row_fails_typed(capsys):
+    # the direct route has no double-double rung, so past its float64
+    # rounding floor the row fails and names the error type
+    rc, text = run_text(capsys, ["tacnode", "--route", "direct", "--sigma",
+                                 "-6", "--intervals=-1:1"])
+    assert rc == 2
+    row = parse_rows(text)[0]
+    assert "DivisionInstabilityError" in row["error"]
+    assert row["F_tac"] == ""
+
+
 def test_scan_tacnode_airy_degenerate_gap_row(capsys):
     # shift = sigma + tau^2 = -2 empties the two-sided gap; the row is the
     # exact-probability case F_tac = 1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gapdet.errors import (DomainError, KernelEvaluationError,
-                           NonConvergenceError)
+from gapdet.errors import (DivisionInstabilityError, DomainError,
+                           KernelEvaluationError, NonConvergenceError)
 from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
                              fredholm_det, inverse_rcond)
 from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
@@ -240,13 +240,12 @@ def test_rcond_bounds_probability_like_values():
 
 # Every ladder in the package, as (m0, tol) -> DetResult, with a start and
 # a tolerance it cannot meet: the jump kernel converges only slowly, the
-# float64 direct route at sigma = 0 stalls at rounding level, where the
-# estimate's one-ulp floor keeps 1e-17 out of reach even when the last two
-# rungs round to the same float, and the ratio route, whose float64
-# rounding floor exceeds 1e-17, climbs in double-double to the same
-# one-ulp floor.  From m0 = 10 the ratio route stays in float64 (its
-# rounding floor is about 3e-15) but its rungs 20 and 40 still differ by
-# about 9e-8.
+# ratio route, whose float64 rounding floor exceeds 1e-17, climbs in
+# double-double to the one-ulp floor, where two rungs that round to the
+# same float still leave 1e-17 out of reach, and from m0 = 10 both tacnode
+# routes stay in float64 (their rounding floors are about 3e-15 and 1.5e-15)
+# but their rungs 20 and 40 still differ, by about 9e-8 on the ratio and
+# 7.6e-11 on the direct route.
 def jump_det(m0, tol):
     return fredholm_det(JumpKernel([DomainComponent.finite(0.0, 1.0)]),
                         m0=m0, tol=tol)
@@ -265,7 +264,7 @@ def tacnode_direct(m0, tol):
 LADDERS = [pytest.param(jump_det, 10, 1e-14, id="fredholm_det"),
            pytest.param(tacnode_ratio, 40, 1e-17, id="tacnode_gap_ratio"),
            pytest.param(tacnode_ratio, 10, 1e-8, id="tacnode_gap_ratio_f64"),
-           pytest.param(tacnode_direct, 40, 1e-17, id="tacnode_gap_direct")]
+           pytest.param(tacnode_direct, 10, 1e-11, id="tacnode_gap_direct")]
 
 
 @pytest.mark.parametrize("run, m0, tol", LADDERS)
@@ -277,6 +276,15 @@ def test_non_convergence_reports_last_two_values(run, m0, tol):
     assert err.err_estimate > tol
     assert err.err_estimate == max(abs(err.values[1] - err.values[0]),
                                    np.spacing(abs(err.values[1])))
+
+
+def test_direct_route_refuses_a_tolerance_below_its_rounding_floor():
+    # the direct route has no double-double rung, so a tolerance below its
+    # float64 rounding floor (about 1.6e-15 at sigma = 0) is refused
+    with pytest.raises(DivisionInstabilityError) as info:
+        tacnode_direct(40, 1e-17)
+    assert info.value.tol == 1e-17
+    assert info.value.rounding_floor > 1e-17
 
 
 @pytest.mark.parametrize("run, m0, tol", LADDERS)

@@ -13,14 +13,16 @@ from numpy.testing import assert_allclose
 
 from gapdet.errors import (DivisionInstabilityError, DomainError,
                            SanityCheckError)
-from gapdet.fredholm import (DetResult, assemble, det_at, determinant,
-                             fredholm_det)
+from gapdet.fredholm import (BlockKernel, DetResult, assemble, det_at,
+                             determinant, fredholm_det)
 from gapdet.gapprob import (SIGMA_WINDOW, _check_probability, airy_gap,
                             generating_function, pearcey_gap,
                             tacnode_gap_direct, tacnode_gap_ratio,
                             tracy_widom_F2)
-from gapdet.kernels import (AiryKernel, GapSpec, PearceyKernel, PearceyParams,
-                            TacnodeParams, _axis_to_branch, _branch_to_axis)
+from gapdet.kernels import (AiryKernel, ConditionedKernel,
+                            FormalTacnodeKernel, GapSpec, PearceyKernel,
+                            PearceyParams, TacnodeParams, _axis_to_branch,
+                            _branch_to_axis)
 from gapdet.quadrature import DomainComponent, gauss_legendre
 
 
@@ -153,7 +155,7 @@ def test_tacnode_two_time_routes_agree():
     assert_allclose(ratio.real, 0.3122614052029909, rtol=0, atol=5e-13)
     assert abs(ratio.real - direct.real) <= 1e-8
     assert direct.parts["route"] == "direct"
-    assert direct.parts["resolvent_rcond"] > 1e-13
+    assert direct.parts["rcond_denominator"] > 1e-13
 
 
 def test_tacnode_deep_sigma_switches_to_double_double():
@@ -183,6 +185,54 @@ def test_tacnode_weighted_routes_agree():
     direct = tacnode_gap_direct(spec, par)
     assert_allclose(ratio.real, 0.5820369471360609, rtol=0, atol=5e-13)
     assert abs(ratio.real - direct.real) <= 1e-8
+
+
+class _ConditionedGaps(BlockKernel):
+    """The formal kernel conditioned on an empty edge through an explicit
+    resolvent on the m-point ray rule, one block per gap: the direct
+    route's formulation before it became a Schur complement."""
+
+    def __init__(self, spec, par, m):
+        gaps = spec.flat()
+        super().__init__([DomainComponent.finite(a, b) for _, a, b, _ in gaps],
+                         [1.0 - z for _, _, _, z in gaps])
+        self.roles = [tidx + 1 for tidx, _, _, _ in gaps]
+        self.ck = ConditionedKernel(FormalTacnodeKernel(par),
+                                    DomainComponent.ray(par.sigma_tilde),
+                                    gauss_legendre(m))
+
+    def entry(self, i, j, x, y):
+        return self.ck.value_matrix(self.roles[i], np.real(x),
+                                    self.roles[j], np.real(y))
+
+
+@pytest.mark.parametrize("sigma", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("spec, times", [
+    (GapSpec([[(-1.0, 1.0)]]), (0.0,)),
+    (GapSpec([[(-1.0, 0.5)], [(-0.5, 1.0)]]), (-0.5, 0.5)),
+], ids=["one-time", "two-time"])
+def test_tacnode_direct_matches_explicit_resolvent(spec, times, sigma):
+    # the gap block's Schur complement is the explicitly conditioned
+    # kernel; with the edge on the final rung's rule the two agree to
+    # rounding
+    par = TacnodeParams(sigma, times)
+    direct = tacnode_gap_direct(spec, par)
+    m = direct.m_used[0]
+    oracle = fredholm_det(_ConditionedGaps(spec, par, m), m0=m // 2)
+    assert oracle.m_used == direct.m_used
+    assert abs(direct.value - oracle.value) <= 1e-14
+    assert direct.err_estimate >= \
+        direct.parts["rounding_floor"] * abs(direct.value)
+
+
+def test_tacnode_direct_instability_is_reported():
+    # the direct route has no double-double rung, and at sigma = -6 its
+    # float64 rounding floor exceeds the tolerance
+    with pytest.raises(DivisionInstabilityError) as info:
+        tacnode_gap_direct(GapSpec([[(-1.0, 1.0)]]),
+                           TacnodeParams(-6.0, (0.0,)))
+    assert info.value.tol == 1e-8
+    assert info.value.rounding_floor > info.value.tol
 
 
 def test_tacnode_empty_gap_gives_one(monkeypatch):

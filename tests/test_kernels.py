@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gapdet import gapprob, kernels
-from gapdet.errors import (DomainError, KernelEvaluationError,
-                           SingularRestrictionError)
+from gapdet.errors import (DivisionInstabilityError, DomainError,
+                           KernelEvaluationError, SingularRestrictionError)
 from gapdet.fredholm import assemble, assemble_dd, determinant
 from gapdet.gapprob import tracy_widom_F2
 from gapdet.kernels import (
@@ -369,17 +369,27 @@ def test_resolvent_solves_identity_like_system():
 
 def test_resolvent_singular_far_left():
     # an edge [sigma_tilde, inf) starting deep in the bulk, at -13.5: the
-    # restriction of I - K loses invertibility
+    # edge block of I - K W is so ill-conditioned that the float64 rounding
+    # floor of the direct route exceeds the tolerance
     par = TacnodeParams(-13.5 / 2.0 ** (2.0 / 3.0), (0.0,))
-    with pytest.raises(SingularRestrictionError):
-        TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 80)
+    with pytest.raises(DivisionInstabilityError) as info:
+        gapprob.tacnode_gap_direct(GapSpec([[(-1.0, 1.0)]]), par)
+    assert info.value.rounding_floor > info.value.tol
+
+
+def _conditioned_formal(par, m):
+    """The formal kernel conditioned on an empty edge through an explicit
+    resolvent on the m-point ray rule, the positivity probe's object."""
+    return ConditionedKernel(FormalTacnodeKernel(par),
+                             DomainComponent.ray(par.sigma_tilde),
+                             gauss_legendre(m))
 
 
 def test_direct_kernel_correction_vanishes_for_large_sigma():
     par = TacnodeParams(6.0, (0.0,))
-    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 80)
+    ck = _conditioned_formal(par, 80)
     xi = np.array([0.3])
-    full = ker.entry(0, 0, xi, xi)
+    full = ck.value_matrix(1, xi, 1, xi)
     bare = converged_inner(ext_airy_matrix, 0.0, 0.0, par.sigma - xi,
                            par.sigma - xi)
     assert abs(full[0, 0] - bare[0, 0]) < 1e-6
@@ -387,9 +397,9 @@ def test_direct_kernel_correction_vanishes_for_large_sigma():
 
 def test_direct_kernel_symmetric_at_equal_times():
     par = TacnodeParams(0.0, (0.0,))
-    ker = TacnodeDirectKernel(par, GapSpec([[(-1.0, 1.0)]]), 40)
+    ck = _conditioned_formal(par, 40)
     x = np.array([0.4, -0.6])
-    got = ker.entry(0, 0, x, x)
+    got = ck.value_matrix(1, x, 1, x)
     assert_allclose(got[0, 1], got[1, 0], rtol=1e-12)
 
 
@@ -399,9 +409,10 @@ def _two_time_direct():
 
 
 def test_direct_kernel_builds_each_table_once_per_component(monkeypatch):
-    # per rung and gap component: one coupling row, one coupling column and
-    # the two extended-Airy tables, however many blocks read them; the
-    # Airy-transform table is shared by all couplings of the rung
+    # one kernel per call; per rung (one assembly) and gap component: one
+    # coupling row, one coupling column and the two extended-Airy tables,
+    # however many blocks read them; the Airy-transform table on the edge
+    # points is shared by all couplings of the rung
     calls = {}
 
     def count(owner, name):
@@ -411,13 +422,15 @@ def test_direct_kernel_builds_each_table_once_per_component(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return orig(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
-    count(gapprob, "TacnodeDirectKernel")
+    for name in ("TacnodeDirectKernel", "assemble"):
+        count(gapprob, name)
     for name in ("_coupling_matrix", "_ext_airy_table",
                  "_airy_transform_table"):
         count(kernels, name)
     spec, par = _two_time_direct()
     gapprob.tacnode_gap_direct(spec, par)
-    rungs = calls["TacnodeDirectKernel"]
+    assert calls["TacnodeDirectKernel"] == 1
+    rungs = calls["assemble"]
     assert rungs >= 2
     r = len(spec.flat())
     assert calls["_coupling_matrix"] == 2 * r * rungs
@@ -426,24 +439,32 @@ def test_direct_kernel_builds_each_table_once_per_component(monkeypatch):
 
 
 def test_direct_kernel_blocks_equal_their_formula_bit_for_bit():
-    # the shared tables give the bits of the block-by-block formula
+    # the shared tables give the bits of the block-by-block formula: the
+    # Airy kernel on the edge, the couplings between edge and gaps, and the
+    # extended Airy kernel minus the heat kernel between gaps
     spec, par = _two_time_direct()
-    ker = TacnodeDirectKernel(par, spec, 24)
-    ck = ker.conditioned
+    ker = TacnodeDirectKernel(par, spec)
+    assert ker.n_edge == 1
     sig = par.sigma
     pts = [dom.map_points(gauss_legendre(24).nodes)[0]
            for dom in ker.domains]
-    for i, ti in enumerate(par.times):
-        for j, tj in enumerate(par.times):
-            x, y = pts[i], pts[j]
+    edge = pts[0]
+
+    def same(got, want):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    same(ker.entry(0, 0, edge, edge), airy_kernel_matrix(edge, edge))
+    for i, ti in enumerate(par.times, start=1):
+        x = pts[i]
+        same(ker.entry(i, 0, x, edge),
+             -coupling_matrix(ti, x - sig, edge, 80))
+        same(ker.entry(0, i, edge, x),
+             -coupling_matrix(-ti, x - sig, edge, 80).T)
+        for j, tj in enumerate(par.times, start=1):
+            y = pts[j]
             want = ext_airy_matrix(ti, tj, sig - x, sig - y, 80)
             if ti > tj:
                 want = want - heat_kernel(ti - tj, x[:, None], y[None, :])
-            row = -coupling_matrix(ti, x - sig, ck.nodes, 80)
-            col = -coupling_matrix(-tj, y - sig, ck.nodes, 80).T
-            want = want + (row * ck.colw[None, :]) @ (ck._inv @ col)
-            got = ker.entry(i, j, x, y)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            same(ker.entry(i, j, x, y), want)
 
 
 # ---------------------------------------------------------------------------
