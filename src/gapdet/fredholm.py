@@ -168,7 +168,8 @@ def assemble_dd(kernel, m):
             blk = dd_mul(kernel.entry_dd(i, j, pts[i], pts[j]), colw[j])
             hi[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[0]
             lo[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk[1]
-    hi, lo = -hi, -lo
+    np.negative(hi, out=hi)
+    np.negative(lo, out=lo)
     idx = np.arange(n)
     hi[idx, idx], lo[idx, idx] = dd_add_f((hi[idx, idx], lo[idx, idx]), 1.0)
     return hi, lo
@@ -255,12 +256,12 @@ def ladder(rung, m0, tol, n_components):
     m = 2 * m0
     curr, parts = rung(m)
     err = estimate(prev, curr, parts)
-    if err > tol:
+    if not err <= tol:      # a NaN estimate climbs, and then raises
         prev = curr
         m = 4 * m0
         curr, parts = rung(m)
         err = estimate(prev, curr, parts)
-        if err > tol:
+        if not err <= tol:
             raise NonConvergenceError(
                 "not converged: err(v(%d), v(%d)) = %.3e > %.3e"
                 % (m, m // 2, err, tol),

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from gapdet import ddmath
 from gapdet.ddmath import (
     DD_LN2,
     DD_PI,
@@ -197,3 +198,122 @@ def test_det_lead_gives_leading_schur_complement():
     a[0, :k] = 0.0      # a singular leading block has no Schur complement
     with pytest.raises(DivisionInstabilityError):
         dd_det(a, zero, lead=k)
+
+
+# ------------------------------------------------ dd_det against its oracle
+
+def rank1_dd_det(a_hi, a_lo, lead=0):
+    """Reference LU for dd_det's bits: the same pivoting, with the trailing
+    update as one dd_mul and one dd_sub over the whole trailing block per
+    pivot.  dd_det's in-place update in row blocks must match it exactly."""
+    hi = np.array(a_hi, dtype=float, copy=True)
+    lo = np.array(a_lo, dtype=float, copy=True)
+    n = hi.shape[0]
+    det = (1.0, 0.0)
+    sign = 1.0
+    for k in range(n):
+        rows = lead if k < lead else n
+        p = int(np.argmax(np.abs(hi[k:rows, k]))) + k
+        if hi[p, k] == 0.0 and lo[p, k] == 0.0:
+            if k < lead:
+                raise DivisionInstabilityError(
+                    "leading %d x %d block is singular at the working "
+                    "precision" % (lead, lead))
+            return 0.0, 0.0
+        if p != k:
+            hi[[k, p], k:] = hi[[p, k], k:]
+            lo[[k, p], k:] = lo[[p, k], k:]
+            if k >= lead:       # a leading swap flips both determinants
+                sign = -sign
+        piv = (hi[k, k], lo[k, k])
+        if k >= lead:
+            det = dd_mul(det, piv)
+        if k + 1 < n:
+            col = (hi[k + 1:, k], lo[k + 1:, k])
+            mult = dd_div(col, piv)
+            prod = dd_mul((mult[0][:, None], mult[1][:, None]),
+                          (hi[k, k + 1:][None, :], lo[k, k + 1:][None, :]))
+            blk = dd_sub((hi[k + 1:, k + 1:], lo[k + 1:, k + 1:]), prod)
+            hi[k + 1:, k + 1:] = blk[0]
+            lo[k + 1:, k + 1:] = blk[1]
+    return sign * float(det[0]), sign * float(det[1])
+
+
+def bits(pair):
+    return np.array(pair, dtype=float).view(np.uint64).tolist()
+
+
+def dd_matrix(rng, n, diag=0.0):
+    """A seeded normalized double-double matrix whose every lo word is
+    nonzero, with ``diag`` added to its diagonal."""
+    hi = rng.uniform(-1.0, 1.0, size=(n, n)) + diag * np.eye(n)
+    return hi, rng.uniform(-0.25, 0.25, size=(n, n)) * np.spacing(hi)
+
+
+def assert_matches_oracle(hi, lo, lead):
+    """Same bits as the oracle, and the caller's words left as they were."""
+    hi_before, lo_before = hi.copy(), lo.copy()
+    got = dd_det(hi, lo, lead)
+    assert np.array_equal(hi, hi_before) and np.array_equal(lo, lo_before)
+    assert bits(got) == bits(rank1_dd_det(hi, lo, lead))
+    return got
+
+
+BLOCK = ddmath._DET_BLOCK
+# one row, a trailing block smaller than one row block, one and two rows
+# past a block boundary, and a first trailing update over three blocks
+DET_SIZES = [1, BLOCK - 5, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 7]
+
+
+@pytest.mark.parametrize("n", DET_SIZES)
+def test_det_blocked_update_reproduces_rank1_bits(n):
+    hi, lo = dd_matrix(np.random.default_rng(17000 + n), n)
+    assert np.count_nonzero(lo) == n * n
+    for lead in sorted({0, n // 3, n}):
+        assert_matches_oracle(hi, lo, lead)
+
+
+def test_det_row_swaps_inside_and_after_the_leading_phase():
+    # D is strictly diagonally dominant by columns, so partial pivoting on
+    # D never swaps; with its leading and trailing rows each reversed, every
+    # pivot search of P D must swap D's row back, in the leading phase and
+    # after it.  The eliminations are the same up to row order, so the
+    # result is D's determinant with the sign of the trailing reversal,
+    # (n - lead) // 2 transpositions, chosen odd.
+    n, lead = BLOCK + 9, 7
+    assert (n - lead) // 2 % 2 == 1
+    hi, lo = dd_matrix(np.random.default_rng(17101), n, diag=n + 1.0)
+    perm = np.r_[np.arange(lead)[::-1], np.arange(lead, n)[::-1]]
+    plain = assert_matches_oracle(hi, lo, lead)
+    swapped = assert_matches_oracle(hi[perm], lo[perm], lead)
+    assert bits(swapped) == bits((-plain[0], -plain[1]))
+
+
+def test_det_zero_trailing_pivot_and_singular_lead():
+    n, lead = BLOCK + 5, 4
+    hi, lo = dd_matrix(np.random.default_rng(17202), n)
+    # a zero column stays exactly zero through every update
+    hi[:, n - 3] = 0.0
+    lo[:, n - 3] = 0.0
+    assert assert_matches_oracle(hi, lo, lead) == (0.0, 0.0)
+    # a zero row of the leading block leaves it singular
+    hi, lo = dd_matrix(np.random.default_rng(17203), n)
+    hi[1, :lead] = 0.0
+    lo[1, :lead] = 0.0
+    for det in (dd_det, rank1_dd_det):
+        with pytest.raises(DivisionInstabilityError):
+            det(hi, lo, lead)
+
+
+def test_det_rejects_malformed_input():
+    a = np.eye(3)
+    zero = np.zeros_like(a)
+    cases = [(np.ones((2, 3)), np.zeros((2, 3)), 0),       # not square
+             (np.ones(3), np.zeros(3), 0),                 # not a matrix
+             (a, np.zeros((3, 2)), 0),                     # word shapes
+             (a, zero, -1), (a, zero, 4),                  # lead range
+             (np.where(a == 1.0, np.nan, a), zero, 0),     # NaN hi word
+             (a, np.where(a == 1.0, np.inf, zero), 0)]     # inf lo word
+    for hi, lo, lead in cases:
+        with pytest.raises(DomainError):
+            dd_det(hi, lo, lead)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from gapdet.errors import (DivisionInstabilityError, DomainError,
                            KernelEvaluationError, NonConvergenceError)
 from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
-                             fredholm_det, inverse_rcond)
+                             fredholm_det, inverse_rcond, ladder)
 from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
 from gapdet.kernels import (AiryKernel, GapSpec, TacnodeParams,
                             airy_kernel_matrix)
@@ -276,6 +276,20 @@ def test_non_convergence_reports_last_two_values(run, m0, tol):
     assert err.err_estimate > tol
     assert err.err_estimate == max(abs(err.values[1] - err.values[0]),
                                    np.spacing(abs(err.values[1])))
+
+
+def test_nan_rung_is_never_converged():
+    # nan > tol is False, so a NaN estimate must be tested as not <= tol:
+    # the ladder climbs to 4*m0 and raises instead of returning NaN
+    rungs = []
+
+    def rung(m):
+        rungs.append(m)
+        return math.nan, {}
+    with pytest.raises(NonConvergenceError) as info:
+        ladder(rung, 10, 1e-8, 1)
+    assert rungs == [10, 20, 40]
+    assert math.isnan(info.value.err_estimate)
 
 
 def test_direct_route_refuses_a_tolerance_below_its_rounding_floor():
