@@ -49,9 +49,9 @@ class SingularRestrictionError(GapdetError, RuntimeError):
 class DivisionInstabilityError(GapdetError, RuntimeError):
     """A determinant ratio cannot be trusted (denominator accuracy lost).
 
-    ``rounding_floor`` is the relative rounding estimate of a float64 tacnode
-    value, on either route, and ``tol`` the tolerance it exceeds, when the
-    error was raised on that comparison.
+    ``rounding_floor`` is the relative m0 rounding floor of a
+    :func:`gapdet.fredholm.ladder` rung, and ``tol`` the tolerance it
+    exceeds, when the ladder raised it for want of a higher precision.
     """
 
     def __init__(self, message, rounding_floor=None, tol=None):

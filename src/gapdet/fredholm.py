@@ -18,9 +18,10 @@ described once for both precisions.
 Every value the package reports comes out of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
-tolerance (Bornemann, Math. Comp. 79 (2010)).  ``fredholm_det`` runs it on
-one kernel; :mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt
-on each rung's rule and over the Schur complement both tacnode routes take.
+tolerance (Bornemann, Math. Comp. 79 (2010)), in the precision that the
+m0 rung's rounding floor allows.  ``fredholm_det`` runs it on one kernel;
+:mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt on each
+rung's rule and over the Schur complement both tacnode routes take.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +30,8 @@ import numpy as np
 
 from .ddmath import dd_add, dd_add_f, dd_gauss_legendre, dd_mul, dd_mul_f, \
     dd_sub
-from .errors import (DomainError, KernelEvaluationError, NonConvergenceError)
+from .errors import (DivisionInstabilityError, DomainError,
+                     KernelEvaluationError, NonConvergenceError)
 from .quadrature import gauss_legendre
 
 __all__ = ["BlockKernel", "DetResult", "assemble", "assemble_dd",
@@ -83,9 +85,9 @@ class DetResult:
     moves under refinement (for the gap [-1, 1] at sigma = -4 the ratio
     numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
     the node count of the final rung per domain component, on every route.
-    ``parts`` holds whatever else the final rung reported, and is always a
-    dict.  ``imag_residual`` is |Im value|, which is quadrature noise when
-    the value is a real probability.
+    ``parts`` is the m0 rung's dict with the final rung's laid over it, so
+    double-double rows keep the float64 floor and rconds that chose them.
+    ``imag_residual`` is |Im value|, quadrature noise on a probability.
     """
 
     value: complex
@@ -221,53 +223,62 @@ def det_at(kernel, m):
     return determinant(assemble(kernel, gauss_legendre(m)))
 
 
-def check_ladder(m0, tol):
-    """Reject a start below 10 nodes per component and a tolerance that is
-    not a positive finite number, which no estimate could meet honestly."""
+def ladder(rung, m0, tol, n_components, fallback=None):
+    """Refine ``rung`` until the Cauchy estimate meets ``tol``.
+
+    ``rung(m)`` evaluates the quantity with m nodes per component and
+    returns ``(value, parts)``, a dict of diagnostics, which at m0 may hold
+    a relative ``rounding_floor``.  A floor not within tol (NaN included)
+    restarts the ladder from m0 on ``fallback``, the same quantity in
+    higher precision; without one, or when the fallback's own m0 floor is
+    not within tol either, it raises :class:`DivisionInstabilityError`
+    carrying the floor and tol.  The ladder then runs 2*m0, and 4*m0 once
+    if needed; it raises :class:`NonConvergenceError`, carrying the last
+    two values, when even 4*m0 leaves the estimate above tol.  The estimate
+    is the difference of the last two rungs, floored at one ulp of the last
+    value and at the m0 floor of the rung in use times |value|, so a
+    tolerance below either is never met.  The :class:`DetResult` takes its
+    value from the final rung, its parts from the m0 rung with the final
+    rung's laid over them, and ``(m,) * n_components`` as ``m_used``.  An
+    m0 below 10 and a tol that is not positive and finite, which no
+    estimate meets honestly, are refused before the first rung.
+    """
     if m0 < 10:
         raise DomainError("m0 must be at least 10, got %d" % m0)
     if not (np.isfinite(tol) and tol > 0.0):
         raise DomainError("tol must be a positive finite number, got %r"
                           % tol)
+    prev, first = rung(m0)
+    floor = first.get("rounding_floor", 0.0)
+    if not floor <= tol and fallback is not None:
+        rung = fallback
+        prev, parts = rung(m0)
+        floor = parts.get("rounding_floor", 0.0)
+    if not floor <= tol:
+        raise DivisionInstabilityError(
+            "rounding floor %.3e of the m0 rung exceeds tol %.3e, and no "
+            "higher-precision rung is left" % (floor, tol),
+            rounding_floor=floor, tol=tol)
 
-
-def ladder(rung, m0, tol, n_components):
-    """Refine ``rung`` until the Cauchy estimate meets ``tol``.
-
-    ``rung(m)`` evaluates the quantity with m nodes per component and
-    returns ``(value, parts)``, where ``parts`` is a dict of diagnostics.
-    The ladder runs m0 and 2*m0, and 4*m0 once if needed; it raises
-    :class:`NonConvergenceError`, carrying the last two values, when even
-    4*m0 leaves the estimate above tol.  The estimate is the difference of
-    the last two rungs, floored at one ulp of the last value and, when the
-    rung reports a relative ``rounding_floor``, at that floor times
-    |value|, so a tolerance below either is never met.  The
-    :class:`DetResult` takes its value and parts from the final rung and
-    reports ``(m,) * n_components`` as ``m_used``.  :func:`check_ladder`
-    vets m0 and tol before the first rung.
-    """
-    check_ladder(m0, tol)
-
-    def estimate(prev, curr, parts):
+    def estimate(prev, curr):
         return max(abs(curr - prev), float(np.spacing(abs(curr))),
-                   parts.get("rounding_floor", 0.0) * abs(curr))
+                   floor * abs(curr))
 
-    prev, _ = rung(m0)
     m = 2 * m0
     curr, parts = rung(m)
-    err = estimate(prev, curr, parts)
+    err = estimate(prev, curr)
     if not err <= tol:      # a NaN estimate climbs, and then raises
         prev = curr
         m = 4 * m0
         curr, parts = rung(m)
-        err = estimate(prev, curr, parts)
+        err = estimate(prev, curr)
         if not err <= tol:
             raise NonConvergenceError(
                 "not converged: err(v(%d), v(%d)) = %.3e > %.3e"
                 % (m, m // 2, err, tol),
                 values=(prev, curr), err_estimate=err)
     return DetResult(value=complex(curr), err_estimate=err,
-                     m_used=(m,) * n_components, parts=parts)
+                     m_used=(m,) * n_components, parts={**first, **parts})
 
 
 def fredholm_det(kernel, m0=40, tol=1e-8):

@@ -9,8 +9,8 @@ kernel conditioned on an empty edge.  Agreement of the two routes is the
 strongest correctness check the package has; the test suite exercises it
 on a parameter grid.
 
-Each route is one determinant, and both share its rung and precision
-driver.  The matrix N = I - K W leads with an edge block L, the ratio's
+Each route is one determinant, and both share its float64 rung.  The
+matrix N = I - K W leads with an edge block L, the ratio's
 (R+, edge) block, whose determinant is the Airy denominator
 F2(sigma_tilde) on N's own rule, or the direct route's edge ray
 [sigma_tilde, inf); the value is det S for the gap block's Schur
@@ -23,9 +23,10 @@ eps (1/rcond_numerator + 1/rcond_denominator), the first-order estimate
 eps kappa of a dense LU's rounding error without the order-n constant of
 its bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
 ed., ch. 15).
-A floor within the tolerance keeps the ladder in float64, reusing that
-rung; a floor above it sends ratios with real interval weights to the
-double-double engine (see :mod:`gapdet.ddmath`), which is all the
+:func:`gapdet.fredholm.ladder` makes the switch: a floor within the
+tolerance keeps it in float64, reusing that rung; a floor above it sends
+ratios with real interval weights to the double-double engine (see
+:mod:`gapdet.ddmath`), the ladder's fallback rung, which is all the
 deep-overlap scans need, and raises :class:`DivisionInstabilityError` for
 complex weights and on the direct route, which have no double-double
 path.  The floor is relative and is not scaled by the value: the value is
@@ -42,9 +43,9 @@ import threading
 import numpy as np
 
 from .ddmath import dd_det
-from .errors import DivisionInstabilityError, DomainError, SanityCheckError
-from .fredholm import (assemble, assemble_dd, check_ladder, det_at,
-                       determinant, fredholm_det, inverse_rcond, ladder)
+from .errors import DomainError, SanityCheckError
+from .fredholm import (assemble, assemble_dd, det_at, determinant,
+                       fredholm_det, inverse_rcond, ladder)
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
                       TacnodeHKernel, parse_interval)
 from .quadrature import DomainComponent, gauss_legendre
@@ -141,19 +142,22 @@ def _check_sigma_window(params, force_sigma):
                                               SIGMA_WINDOW))
 
 
-def _schur_rung_f64(kernel, m, parts):
-    """Float64 det S at m, eliminating the first ``kernel.n_edge``
-    components, in real arithmetic when N is real.  Returns det S and
-    ``parts``; the m0 rung, whose ``parts`` have no ``rounding_floor`` yet,
-    adds the rconds of N and L and the floor they give.
+def _schur_rung_f64(kernel, m, parts, measure):
+    """Float64 det S at m and ``parts``, eliminating the first
+    ``kernel.n_edge`` components, in real arithmetic when N is real.  With
+    ``measure`` set (the m0 rung) ``parts`` gain the rconds of N and L and
+    the rounding floor they give.  Without gap components S is 0 x 0: det S
+    is exactly 1 with floor 0, and nothing is assembled.
     """
+    if len(kernel.domains) == kernel.n_edge:
+        return 1.0, dict(parts, rounding_floor=0.0)
     mat = assemble(kernel, gauss_legendre(m))
     if not mat.imag.any():
         mat = mat.real
     k = kernel.n_edge * m
     lead = mat[:k, :k]
     schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
-    if "rounding_floor" not in parts:
+    if measure:
         rc_num = inverse_rcond(mat)[1]
         rc_den = inverse_rcond(lead)[1]
         floor = _EPS / rc_num + _EPS / rc_den \
@@ -161,34 +165,6 @@ def _schur_rung_f64(kernel, m, parts):
         parts = dict(parts, rounding_floor=floor, rcond_numerator=rc_num,
                      rcond_denominator=rc_den)
     return determinant(schur), parts
-
-
-def _schur_ladder(kernel, m0, tol, n_comp, parts, dd_rung, what):
-    """Ladder over det S in the precision that the m0 rung's rounding floor
-    allows (see the module docstring), for both tacnode routes.
-
-    Without gap components S is 0 x 0 and the value exactly 1.  Above the
-    floor the ladder runs ``dd_rung``, or raises
-    :class:`DivisionInstabilityError` naming ``what`` when it is None.
-    ``parts`` seed every rung's parts; ``m_used`` has ``n_comp`` entries.
-    """
-    check_ladder(m0, tol)
-    if len(kernel.domains) == kernel.n_edge:
-        return ladder(lambda m: (1.0, dict(parts, rounding_floor=0.0)),
-                      m0, tol, n_comp)
-    first = _schur_rung_f64(kernel, m0, parts)
-    floor = first[1]["rounding_floor"]
-    if floor <= tol:
-        return ladder(lambda m: first if m == m0 else
-                      _schur_rung_f64(kernel, m, first[1]), m0, tol, n_comp)
-    if dd_rung is None:
-        raise DivisionInstabilityError(
-            "float64 rounding floor %.3e exceeds tol %.3e, and %s has no "
-            "double-double rung" % (floor, tol, what),
-            rounding_floor=floor, tol=tol)
-    res = ladder(dd_rung, m0, tol, n_comp)
-    res.parts["rounding_floor"] = floor
-    return res
 
 
 def _ratio_rung_dd(kernel, m):
@@ -216,18 +192,18 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     Above the float64 rounding floor (see the module docstring) real
     weights climb the ladder in double-double, and complex weights raise
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
-    ``tol``.  ``parts`` carry the route taken, the cutoff and the m0
-    ``rounding_floor``; float64 rows add the rconds of N and L.  |sigma|
+    ``tol``.  ``parts`` carry the route taken, the cutoff, the m0
+    ``rounding_floor`` and the rconds of N and L that gave it.  |sigma|
     beyond the stability window raises unless ``force_sigma`` is set.
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeHKernel(params, spec)
     weights = [z for _, _, _, z in spec.flat()]
+    parts = {"route": "float64", "cutoff": kernel.cutoff}
     dd_rung = (lambda m: _ratio_rung_dd(kernel, m)) \
         if all(z.imag == 0.0 for z in weights) else None
-    res = _schur_ladder(kernel, m0, tol, len(kernel.domains),
-                        {"route": "float64", "cutoff": kernel.cutoff},
-                        dd_rung, "a ratio with complex weights")
+    res = ladder(lambda m: _schur_rung_f64(kernel, m, parts, m == m0),
+                 m0, tol, len(kernel.domains), dd_rung)
     if all(z == 0.0 for z in weights):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res
@@ -255,8 +231,9 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeDirectKernel(params, spec)
-    res = _schur_ladder(kernel, m0, tol, len(kernel.domains) - 1,
-                        {"route": "direct"}, None, "the direct route")
+    parts = {"route": "direct"}
+    res = ladder(lambda m: _schur_rung_f64(kernel, m, parts, m == m0),
+                 m0, tol, len(kernel.domains) - 1)
     if all(z == 0.0 for _, _, _, z in spec.flat()):
         _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
     return res

@@ -292,6 +292,79 @@ def test_nan_rung_is_never_converged():
     assert math.isnan(info.value.err_estimate)
 
 
+def counting_rung(values, floor=None, precision="float64"):
+    """Fake rung reading its value from ``values[m]``; it reports ``floor``
+    and an rcond on its first call only, as a measuring m0 rung does, and
+    records every m it is called at in ``calls``."""
+    calls = []
+
+    def rung(m):
+        parts = {"precision": precision, "m": m}
+        if not calls and floor is not None:
+            parts.update(rounding_floor=floor, rcond=0.25)
+        calls.append(m)
+        return values[m], parts
+    rung.calls = calls
+    return rung
+
+
+@pytest.mark.parametrize("values, m_final", [
+    ({10: 0.5, 20: 0.5}, 20),
+    ({10: 0.5, 20: 0.5 + 1e-6, 40: 0.5 + 1e-6}, 40),
+], ids=["2m0", "4m0"])
+def test_ladder_within_floor_runs_each_rung_once(values, m_final):
+    # the m0 value is reused, and the m0 floor bounds the estimate on every
+    # later rung, which reports none of its own
+    rung = counting_rung(values, floor=1e-9)
+    fallback = counting_rung(values, precision="double-double")
+    res = ladder(rung, 10, 1e-8, 2, fallback)
+    assert rung.calls == sorted(values)
+    assert fallback.calls == []
+    assert res.value == 0.5 + 1e-6 * (m_final == 40)
+    assert res.err_estimate == 1e-9 * abs(res.value)
+    assert res.m_used == (m_final, m_final)
+    assert res.parts == {"precision": "float64", "m": m_final,
+                         "rounding_floor": 1e-9, "rcond": 0.25}
+
+
+def test_ladder_floor_above_tol_runs_fallback_from_m0():
+    rung = counting_rung({10: 0.5}, floor=1e-6)
+    fallback = counting_rung({10: 0.5, 20: 0.5 + 1e-12},
+                             precision="double-double")
+    res = ladder(rung, 10, 1e-8, 1, fallback)
+    assert rung.calls == [10]
+    assert fallback.calls == [10, 20]
+    # the fallback reports no floor, so its estimate is the rung difference
+    assert res.err_estimate == abs((0.5 + 1e-12) - 0.5)
+    # the float64 m0 floor that chose the fallback stays in parts
+    assert res.parts == {"precision": "double-double", "m": 20,
+                         "rounding_floor": 1e-6, "rcond": 0.25}
+
+
+def test_ladder_floor_above_tol_without_fallback_raises():
+    rung = counting_rung({10: 0.5}, floor=1e-6)
+    with pytest.raises(DivisionInstabilityError) as info:
+        ladder(rung, 10, 1e-8, 1)
+    assert rung.calls == [10]
+    assert info.value.rounding_floor == 1e-6
+    assert info.value.tol == 1e-8
+
+
+def test_nan_floor_is_never_within_tol():
+    # max(diff, ulp, nan) keeps diff, so a NaN floor must be refused at m0
+    with pytest.raises(DivisionInstabilityError) as info:
+        ladder(lambda m: (0.5, {"rounding_floor": math.nan}), 10, 1e-8, 1)
+    assert math.isnan(info.value.rounding_floor)
+    # the fallback's own m0 floor is tested the same way
+    for floor in (math.nan, 1e-6):
+        fallback = counting_rung({10: 0.5}, floor=floor)
+        with pytest.raises(DivisionInstabilityError) as info:
+            ladder(counting_rung({10: 0.5}, floor=1e-7), 10, 1e-8, 1,
+                   fallback)
+        assert fallback.calls == [10]
+        np.testing.assert_equal(info.value.rounding_floor, floor)
+
+
 def test_direct_route_refuses_a_tolerance_below_its_rounding_floor():
     # the direct route has no double-double rung, so a tolerance below its
     # float64 rounding floor (about 1.6e-15 at sigma = 0) is refused

@@ -316,6 +316,10 @@ def test_tacnode_route_follows_rounding_floor():
     dd = tacnode_gap_ratio(spec, par, tol=1e-13)
     assert dd.parts["route"] == "double-double"
     assert dd.parts["rounding_floor"] == floor
+    # the double-double row carries the float64 rconds that chose it
+    assert dd.parts["rounding_floor"] == 2.0 ** -52 * (
+        1.0 / dd.parts["rcond_numerator"]
+        + 1.0 / dd.parts["rcond_denominator"])
 
 
 def test_tacnode_float64_err_estimate_bounds_rounding():

@@ -8,7 +8,8 @@ lives in:
 It reads ``perfbench/grid.json`` (read only) and evaluates each f64-mix
 and dd-deep query through the public calls, as ``perfbench/workloads.py``
 does: a tacnode point of f64-mix runs both routes.  Each line carries
-``repr`` of the value and of ``err_estimate``, ``m_used`` and the route.
+``repr`` of the value, of ``err_estimate`` and of ``rounding_floor`` (``-``
+when the row has none), ``m_used`` and the route.
 It then runs each cli-scan grid call, and the default ``positivity-probe``,
 as a fresh ``gapdet`` process with the benchmark's row threads, and prints
 the sha256 of its stdout and its exit code.  Two checkouts agree bit for
@@ -52,10 +53,13 @@ def library_lines(grid, runner):
                     else:
                         res = gapprob.tacnode_gap_ratio(
                             *runner.tacnode_args(p))
-                    yield "%s %s %s value=%r err=%r m_used=%s route=%s" % (
-                        workload, kind, json.dumps(p, sort_keys=True),
-                        res.value, res.err_estimate, res.m_used,
-                        res.parts.get("route", "-"))
+                    floor = res.parts.get("rounding_floor")
+                    yield ("%s %s %s value=%r err=%r floor=%s m_used=%s "
+                           "route=%s" % (
+                               workload, kind, json.dumps(p, sort_keys=True),
+                               res.value, res.err_estimate,
+                               "-" if floor is None else repr(floor),
+                               res.m_used, res.parts.get("route", "-")))
 
 
 def cli_lines(grid):
