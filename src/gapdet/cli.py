@@ -4,9 +4,10 @@ Every subcommand prints a deterministic table: one `#` comment line that
 records the engine version and the full flag set (the output path is
 deliberately omitted so the same query writes identical bytes anywhere),
 a column-name line, then the rows.  ``--json`` switches to a JSON document
-carrying per-row convergence diagnostics.  Rows are computed in a thread
-pool capped by the ``GAPDET_THREADS`` environment variable and are always
-emitted in input order.
+carrying per-row convergence diagnostics.  Rows of either precision run
+concurrently in a thread pool capped by the ``GAPDET_THREADS`` environment
+variable and are emitted in input order; a failed row keeps its key
+columns and carries the error.
 
 Exit codes: 0 success, 1 probe found no witness, 2 a row failed
 numerically, 3 invalid arguments.
@@ -48,21 +49,17 @@ def _pool_size():
 
 
 def _map_rows(worker, items):
-    """Evaluate ``worker`` over ``items`` in a pool, preserving order."""
+    """Rows ``{**item, **worker(item)}`` in a pool, in input order, for
+    key-column dicts ``items``; a failed row is its item plus ``error``."""
+    def row(item):
+        try:
+            return {**item, **worker(item)}
+        except (GapdetError, OverflowError) as exc:
+            return dict(item, error="%s: %s" % (type(exc).__name__, exc))
     if not items:
         return []
     with ThreadPoolExecutor(max_workers=min(_pool_size(), len(items))) as ex:
-        return list(ex.map(worker, items))
-
-
-def _guarded(worker):
-    """Turn engine failures into an error field instead of aborting."""
-    def wrapped(item):
-        try:
-            return worker(item)
-        except (GapdetError, OverflowError) as exc:
-            return {"error": "%s: %s" % (type(exc).__name__, exc)}
-    return wrapped
+        return list(ex.map(row, items))
 
 
 def _diag(res):
@@ -158,28 +155,20 @@ def tacnode_pearcey_times(sigma, taus_p, branch=1.0):
 # Row producers (pure; the cmd_* handlers only parse flags and render)
 
 def run_tw(s_min, s_max, steps, m0=40, tol=1e-8):
-    grid = np.linspace(s_min, s_max, steps + 1)
-
-    @_guarded
-    def worker(s):
-        res = tracy_widom_F2(s, m0=m0, tol=tol)
-        return {"s": float(s), "F2": res.real, **_diag(res)}
-    rows = _map_rows(worker, list(grid))
-    for s, row in zip(grid, rows):
-        row.setdefault("s", float(s))
-    return ["s", "F2", "err", "error"], rows
+    def worker(row):
+        res = tracy_widom_F2(row["s"], m0=m0, tol=tol)
+        return {"F2": res.real, **_diag(res)}
+    grid = [{"s": float(s)} for s in np.linspace(s_min, s_max, steps + 1)]
+    return ["s", "F2", "err", "error"], _map_rows(worker, grid)
 
 
 def run_pearcey(tau, endpoints, m0=60, tol=1e-8):
-    @_guarded
-    def worker(_):
+    def worker(row):
         params = PearceyParams(tau=tau, endpoints=tuple(endpoints))
         res = pearcey_gap(params, m0=m0, tol=tol)
-        return {"tau": tau,
-                "endpoints": ";".join(_fmt(float(a)) for a in endpoints),
-                "F_P": res.real, **_diag(res)}
-    rows = _map_rows(worker, [0])
-    rows[0].setdefault("tau", tau)
+        return {"F_P": res.real, **_diag(res)}
+    ends = ";".join(_fmt(float(a)) for a in endpoints)
+    rows = _map_rows(worker, [{"tau": tau, "endpoints": ends}])
     return ["tau", "endpoints", "F_P", "err", "error"], rows
 
 
@@ -211,15 +200,13 @@ def _parse_intervals(text, n_times):
 
 def run_tacnode(sigma, times, intervals, route="ratio", m0=40, tol=1e-8,
                 force_sigma=False):
-    @_guarded
-    def worker(_):
+    def worker(row):
         params = TacnodeParams(sigma=sigma, times=tuple(times))
         spec = GapSpec(per_time=intervals)
         fn = tacnode_gap_ratio if route == "ratio" else tacnode_gap_direct
         res = fn(spec, params, m0=m0, tol=tol, force_sigma=force_sigma)
-        return {"sigma": sigma, "F_tac": res.real, **_diag(res)}
-    rows = _map_rows(worker, [0])
-    rows[0].setdefault("sigma", sigma)
+        return {"F_tac": res.real, **_diag(res)}
+    rows = _map_rows(worker, [{"sigma": sigma}])
     return ["sigma", "F_tac", "err", "error"], rows
 
 
@@ -228,20 +215,16 @@ def run_scan_pearcey_airy(tau, lo, hi, n, m0=60, tol=1e-8):
     f2 = {float(v): tracy_widom_F2(v, m0=max(40, m0 // 2), tol=tol).real
           for v in grid}
 
-    @_guarded
-    def worker(pair):
-        rho, sig = pair
+    def worker(row):
+        rho, sig = row["rho"], row["sigma"]
         a, b = pearcey_airy_endpoints(tau, rho, sig)
         res = pearcey_gap(PearceyParams(tau=tau, endpoints=(a, b)),
                           m0=m0, tol=tol)
         ref = f2[sig] * f2[rho]
-        return {"rho": rho, "sigma": sig, "F_P": res.real, "F2F2": ref,
+        return {"F_P": res.real, "F2F2": ref,
                 "reldiff": 1.0 - res.real / ref, **_diag(res)}
-    pairs = [(float(r), float(s)) for r in grid for s in grid]
-    rows = _map_rows(worker, pairs)
-    for (rho, sig), row in zip(pairs, rows):
-        row.setdefault("rho", rho)
-        row.setdefault("sigma", sig)
+    rows = _map_rows(worker, [{"rho": float(r), "sigma": float(s)}
+                              for r in grid for s in grid])
     return ["rho", "sigma", "F_P", "F2F2", "reldiff", "err", "error"], rows
 
 
@@ -260,28 +243,25 @@ def run_scan_tacnode_pearcey(sigmas, a_p, b_p, taus_p, branch=1.0, m0=40,
         f_p = pearcey_gap(PearceyParams(tau=taus_p[0], endpoints=(a_p, b_p)),
                           m0=max(60, m0), tol=tol).real
 
-    @_guarded
-    def worker(sigma):
+    def worker(row):
+        sigma = row["sigma"]
         scale, taus = tacnode_pearcey_times(sigma, taus_p, branch)
         per_time = [[(a_p / scale, b_p / scale)] for _ in taus]
         res = tacnode_gap_ratio(GapSpec(per_time=per_time),
                                 TacnodeParams(sigma=sigma, times=taus),
                                 m0=m0, tol=tol, force_sigma=force_sigma)
-        return {"sigma": sigma, "F_tac": res.real, **_diag(res)}
-    rows = _map_rows(worker, [float(s) for s in sigmas])
-    prev = None
-    for sigma, row in zip(sigmas, rows):
-        row.setdefault("sigma", float(sigma))
-        if "error" in row:
-            prev = None
-            continue
         if multi:
-            if prev is not None:
-                row["reldisc"] = abs(row["F_tac"] - prev) / abs(row["F_tac"])
-            prev = row["F_tac"]
-        else:
-            row["F_P"] = f_p
-            row["reldiff"] = 1.0 - row["F_tac"] / f_p
+            return {"F_tac": res.real, **_diag(res)}
+        return {"F_tac": res.real, "F_P": f_p,
+                "reldiff": 1.0 - res.real / f_p, **_diag(res)}
+    rows = _map_rows(worker, [{"sigma": float(s)} for s in sigmas])
+    if multi:
+        prev = None
+        for row in rows:
+            cur = row.get("F_tac")
+            if cur is not None and prev is not None:
+                row["reldisc"] = abs(cur - prev) / abs(cur)
+            prev = cur
     cols = ["sigma", "F_tac", "reldisc"] if multi \
         else ["sigma", "F_tac", "F_P", "reldiff"]
     return cols + ["err", "error"], rows
@@ -304,8 +284,8 @@ def run_scan_tacnode_airy(a, b, mode, lo, hi, n, fixed=None, one_sided=False,
         ref = (tracy_widom_F2(a, m0=m0, tol=tol).real
                * tracy_widom_F2(b, m0=m0, tol=tol).real)
 
-    @_guarded
-    def worker(param):
+    def worker(row):
+        param = row["param"]
         sigma, tau = (param, fixed) if mode == "sigma-sweep" \
             else (fixed, param)
         shift = sigma + tau * tau
@@ -317,12 +297,10 @@ def run_scan_tacnode_airy(a, b, mode, lo, hi, n, fixed=None, one_sided=False,
         res = tacnode_gap_ratio(GapSpec(per_time=per_time),
                                 TacnodeParams(sigma=sigma, times=(tau,)),
                                 m0=m0, tol=tol, force_sigma=force_sigma)
-        return {"param": param, "F_tac": res.real, "F2F2": ref,
+        return {"F_tac": res.real, "F2F2": ref,
                 "reldiff": 1.0 - res.real / ref, **_diag(res)}
-    grid = [float(p) for p in np.linspace(lo, hi, n)]
-    rows = _map_rows(worker, grid)
-    for param, row in zip(grid, rows):
-        row.setdefault("param", param)
+    rows = _map_rows(worker, [{"param": float(p)}
+                              for p in np.linspace(lo, hi, n)])
     return ["param", "F_tac", "F2F2", "reldiff", "err", "error"], rows
 
 

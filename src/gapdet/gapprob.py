@@ -38,7 +38,6 @@ ratio's two precisions discretize one
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -61,12 +60,6 @@ SIGMA_WINDOW = 9.0
 _EPS = 2.0 ** -52
 _IMAG_TOL = 1e-8
 _PROB_SLACK = 1e-6
-
-#: A double-double rung is thousands of small numpy operations, each of
-#: which releases and retakes the GIL; two of them in threads hand the GIL
-#: back and forth on every operation and finish later than one after the
-#: other, so they take turns.
-_DD_TURN = threading.Lock()
 
 
 def _check_probability(res, what):
@@ -168,8 +161,7 @@ def _schur_rung_f64(kernel, m, parts, measure):
 
 
 def _ratio_rung_dd(kernel, m):
-    with _DD_TURN:
-        det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+    det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
     return float(det[0]), {"route": "double-double", "cutoff": kernel.cutoff}
 
 

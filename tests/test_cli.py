@@ -39,13 +39,19 @@ def test_tw_default_grid_matches_golden_bytes(tmp_path):
 
 
 def test_output_deterministic_across_thread_counts(capsys, monkeypatch):
-    argv = ["tw", "--s-min", "-2", "--s-max", "2", "--steps", "4"]
-    monkeypatch.setenv("GAPDET_THREADS", "1")
-    rc1, text1 = run_text(capsys, argv)
-    monkeypatch.setenv("GAPDET_THREADS", "2")
-    rc2, text2 = run_text(capsys, argv)
-    assert rc1 == rc2 == 0
-    assert text1 == text2
+    tw = ["tw", "--s-min", "-2", "--s-max", "2", "--steps", "4"]
+    dd = ["scan-tacnode-pearcey", "--sigmas", "-3", "-3.5", "--tol", "1e-12",
+          "--json"]
+    for argv in (tw, dd):
+        monkeypatch.setenv("GAPDET_THREADS", "1")
+        rc1, text1 = run_text(capsys, argv)
+        monkeypatch.setenv("GAPDET_THREADS", "2")
+        rc2, text2 = run_text(capsys, argv)
+        assert rc1 == rc2 == 0
+        assert text1 == text2
+    # both dd rows ran in double-double, so two threads ran dd rungs at once
+    assert [row["route"] for row in json.loads(text2)["rows"]] \
+        == ["double-double"] * 2
 
 
 def test_out_file_equals_stdout(capsys, tmp_path):
@@ -147,6 +153,7 @@ def test_failed_row_exits_2_and_reports(capsys):
     row = parse_rows(text)[0]
     assert "DomainError" in row["error"]
     assert row["F_tac"] == ""
+    assert row["sigma"] == "12"
 
 
 def test_scan_pearcey_airy_rejects_nonpositive_tau_per_row(capsys):
@@ -157,6 +164,15 @@ def test_scan_pearcey_airy_rejects_nonpositive_tau_per_row(capsys):
     row = parse_rows(text)[0]
     assert "DomainError" in row["error"]
     assert row["F_P"] == ""
+    assert (row["rho"], row["sigma"]) == ("-3", "-3")
+
+
+def test_pearcey_failed_row_keeps_endpoints(capsys):
+    rc, text = run_text(capsys, ["pearcey", "--endpoints", "1", "-1"])
+    assert rc == 2
+    row = parse_rows(text)[0]
+    assert "DomainError" in row["error"]
+    assert (row["tau"], row["endpoints"]) == ("0", "1;-1")
 
 
 def test_positivity_probe_has_no_tol_flag(capsys):
@@ -308,6 +324,7 @@ def test_scan_tacnode_pearcey_nan_sigma_row_names_sigma(capsys):
     row = parse_rows(text)[0]
     assert "the time map needs sigma < 0" in row["error"]
     assert row["F_tac"] == ""
+    assert row["sigma"] == "nan"
 
 
 def test_tacnode_pearcey_time_map():

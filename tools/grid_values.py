@@ -10,12 +10,13 @@ and dd-deep query through the public calls, as ``perfbench/workloads.py``
 does: a tacnode point of f64-mix runs both routes.  Each line carries
 ``repr`` of the value, of ``err_estimate`` and of ``rounding_floor`` (``-``
 when the row has none), ``m_used`` and the route.
-It then runs each cli-scan grid call, and the default ``positivity-probe``,
-as a fresh ``gapdet`` process with the benchmark's row threads, and prints
-the sha256 of its stdout and its exit code.  Two checkouts agree bit for
-bit on the grid when their outputs are identical, so one ``diff`` of two
-runs checks a change that claims to move no value.  The deep dd-deep rows
-take most of the run, about a minute on one core.
+It then runs each cli-scan grid call, the default ``positivity-probe`` and
+``scan-tacnode-pearcey --sigmas -5 -7``, whose two rows run in
+double-double at once, as a fresh ``gapdet`` process with the benchmark's
+row threads, and prints the sha256 of its stdout and its exit code.  Two
+checkouts agree bit for bit on the grid when their outputs are identical,
+so one ``diff`` of two runs checks a change that claims to move no value.
+The deep dd-deep rows take most of the run, about a minute on one core.
 """
 
 import hashlib
@@ -70,6 +71,7 @@ def cli_lines(grid):
              for kind, points in sorted(grid["cli-scan"]["slots"].items())
              for point in points]
     calls.append(["positivity-probe"])
+    calls.append(["scan-tacnode-pearcey", "--sigmas", "-5", "-7"])
     for argv in calls:
         proc = subprocess.run([sys.executable, "-m", "gapdet.cli"] + argv,
                               cwd=ROOT, env=env, capture_output=True,
