@@ -62,6 +62,23 @@ def _map_rows(worker, items):
         return list(ex.map(row, items))
 
 
+def _reference(value):
+    """``value()``, a scan's reference value, or the error it raised, which
+    every row that reads the reference raises again (:func:`_read`)."""
+    try:
+        return value()
+    except (GapdetError, OverflowError) as exc:
+        return exc
+
+
+def _read(*refs):
+    """The reference values ``refs``; the first that failed is raised."""
+    for ref in refs:
+        if isinstance(ref, Exception):
+            raise ref.with_traceback(None)
+    return refs
+
+
 def _diag(res):
     return {"err": res.err_estimate,
             "imag_residual": res.imag_residual,
@@ -212,15 +229,16 @@ def run_tacnode(sigma, times, intervals, route="ratio", m0=40, tol=1e-8,
 
 def run_scan_pearcey_airy(tau, lo, hi, n, m0=60, tol=1e-8):
     grid = np.linspace(lo, hi, n)
-    f2 = {float(v): tracy_widom_F2(v, m0=max(40, m0 // 2), tol=tol).real
-          for v in grid}
+    f2 = {float(v): _reference(lambda: tracy_widom_F2(
+        v, m0=max(40, m0 // 2), tol=tol).real) for v in grid}
 
     def worker(row):
         rho, sig = row["rho"], row["sigma"]
+        f2_sig, f2_rho = _read(f2[sig], f2[rho])
         a, b = pearcey_airy_endpoints(tau, rho, sig)
         res = pearcey_gap(PearceyParams(tau=tau, endpoints=(a, b)),
                           m0=m0, tol=tol)
-        ref = f2[sig] * f2[rho]
+        ref = f2_sig * f2_rho
         return {"F_P": res.real, "F2F2": ref,
                 "reldiff": 1.0 - res.real / ref, **_diag(res)}
     rows = _map_rows(worker, [{"rho": float(r), "sigma": float(s)}
@@ -233,18 +251,19 @@ def run_scan_tacnode_pearcey(sigmas, a_p, b_p, taus_p, branch=1.0, m0=40,
     """Tacnode rows converging to a Pearcey gap as sigma drops.
 
     With one Pearcey time the reference F_P is computed once and a
-    relative-difference column is emitted.  With several times no Pearcey
-    reference exists here, so the discrepancy column reports the relative
-    change from the previous row instead (a convergence indicator).
+    relative-difference column is emitted; if it fails, every row carries
+    its error.  With several times no Pearcey reference exists here, so the
+    discrepancy column reports the relative change from the previous row
+    instead (a convergence indicator).
     """
     multi = len(taus_p) > 1
-    f_p = None
-    if not multi:
-        f_p = pearcey_gap(PearceyParams(tau=taus_p[0], endpoints=(a_p, b_p)),
-                          m0=max(60, m0), tol=tol).real
+    f_p = None if multi else _reference(lambda: pearcey_gap(
+        PearceyParams(tau=taus_p[0], endpoints=(a_p, b_p)),
+        m0=max(60, m0), tol=tol).real)
 
     def worker(row):
         sigma = row["sigma"]
+        _read(f_p)
         scale, taus = tacnode_pearcey_times(sigma, taus_p, branch)
         per_time = [[(a_p / scale, b_p / scale)] for _ in taus]
         res = tacnode_gap_ratio(GapSpec(per_time=per_time),
@@ -274,17 +293,18 @@ def run_scan_tacnode_airy(a, b, mode, lo, hi, n, fixed=None, one_sided=False,
     Two-sided (default): gap [a - s - t^2, -b + s + t^2] against
     F2(a) F2(b).  One-sided: gap [a - s - t^2, b - s - t^2] against the
     Airy gap probability on [a, b].  A degenerate gap set gives the exact
-    row F_tac = 1.
+    row F_tac = 1.  A reference that fails is the error of every row.
     """
     if fixed is None:
         fixed = 0.0 if mode == "sigma-sweep" else 1.0
     if one_sided:
-        ref = airy_gap([(a, b)], m0=m0, tol=tol).real
+        ref = _reference(lambda: airy_gap([(a, b)], m0=m0, tol=tol).real)
     else:
-        ref = (tracy_widom_F2(a, m0=m0, tol=tol).real
-               * tracy_widom_F2(b, m0=m0, tol=tol).real)
+        ref = _reference(lambda: tracy_widom_F2(a, m0=m0, tol=tol).real
+                         * tracy_widom_F2(b, m0=m0, tol=tol).real)
 
     def worker(row):
+        _read(ref)
         param = row["param"]
         sigma, tau = (param, fixed) if mode == "sigma-sweep" \
             else (fixed, param)

@@ -15,28 +15,31 @@ The determinant of M converges to det(I - K) as the rule is refined.
 :mod:`gapdet.ddmath`) from the same kernel, so a component layout is
 described once for both precisions.
 
-Every value the package reports comes out of one refinement ladder,
+Every value the package reports is a rung of one refinement ladder,
 :func:`ladder`: evaluate at m0 nodes per component, then at 2*m0, and once
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)), in the precision that the
-m0 rung's rounding floor allows.  ``fredholm_det`` runs it on one kernel;
-:mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt on each
-rung's rule and over the Schur complement both tacnode routes take.
+m0 rung's rounding floor allows: the float64 rung :func:`det_at` or its
+double-double twin :func:`det_at_dd`.  ``fredholm_det`` runs it on one
+kernel; :mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt
+on each rung's rule and over both tacnode routes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ddmath import dd_add, dd_add_f, dd_gauss_legendre, dd_mul, dd_mul_f, \
-    dd_sub
+from .ddmath import dd_add, dd_add_f, dd_det, dd_gauss_legendre, dd_mul, \
+    dd_mul_f, dd_sub
 from .errors import (DivisionInstabilityError, DomainError,
                      KernelEvaluationError, NonConvergenceError)
 from .quadrature import gauss_legendre
 
 __all__ = ["BlockKernel", "DetResult", "assemble", "assemble_dd",
            "determinant", "inverse_rcond", "fredholm_det", "det_at",
-           "ladder"]
+           "det_at_dd", "ladder"]
+
+_EPS = 2.0 ** -52
 
 
 class BlockKernel:
@@ -51,8 +54,12 @@ class BlockKernel:
     kernel values.  A kernel that also assembles in double-double (today
     only :class:`gapdet.kernels.TacnodeHKernel`) implements
     ``entry_dd(i, j, x, y)``, the same matrix with (hi, lo) pairs in and
-    out.
+    out.  A block on real points must be real.  ``n_edge`` counts the
+    leading components that :func:`det_at` and :func:`det_at_dd` eliminate
+    by a Schur complement; at the default 0 they take det(I - K W) itself.
     """
+
+    n_edge = 0
 
     def __init__(self, domains=(), weights=None):
         self.domains = list(domains)
@@ -77,14 +84,8 @@ class DetResult:
     floored at one ulp of the value: two rungs that round to the same float
     confirm it only to its last bit.  On float64 rows of both tacnode
     routes it is also at least ``parts["rounding_floor"]`` times |value|,
-    the first-order estimate eps (1/rcond_numerator + 1/rcond_denominator)
-    of the relative LU rounding error of det S, with rcond_denominator that
-    of the leading edge block that S divides out: the ratio's (R+, edge)
-    block, whose determinant is the denominator, and the direct route's
-    edge restriction.  That floor is measured once, at m0: rcond hardly
-    moves under refinement (for the gap [-1, 1] at sigma = -4 the ratio
-    numerator's is 7.4e-8 at m = 40 and 7.3e-8 at m = 160).  ``m_used`` is
-    the node count of the final rung per domain component, on every route.
+    the relative rounding floor that :func:`det_at` measures at m0.
+    ``m_used`` is the node count of the final rung per refined component.
     ``parts`` is the m0 rung's dict with the final rung's laid over it, so
     double-double rows keep the float64 floor and rconds that chose them.
     ``imag_residual`` is |Im value|, quadrature noise on a probability.
@@ -108,9 +109,11 @@ def assemble(kernel, rule):
     """Identity-minus-weighted-kernel matrix of ``kernel`` on its own
     components for one quadrature rule.
 
-    Kernel evaluation failures are re-raised as
-    :class:`KernelEvaluationError` with the offending block and, when it can
-    be localized by a scalar re-scan, the node coordinates.
+    The matrix is real unless a mapped point or a column weight is complex,
+    and a complex block on a real matrix raises :class:`TypeError`.  Kernel
+    evaluation failures are re-raised as :class:`KernelEvaluationError`
+    with the offending block and, when it can be localized by a scalar
+    re-scan, the node coordinates.
     """
     pts = []
     colw = []
@@ -122,7 +125,7 @@ def assemble(kernel, rule):
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = int(offs[-1])
     # -K W is written in place, block by block, and I added last
-    out = np.empty((n, n), dtype=complex)
+    out = np.empty((n, n), dtype=np.result_type(float, *pts, *colw))
     for i in range(len(pts)):
         for j in range(len(pts)):
             try:
@@ -132,7 +135,7 @@ def assemble(kernel, rule):
                 raise KernelEvaluationError(
                     "kernel block (%d, %d) failed: %s" % (i, j, exc),
                     block_row=i, block_col=j, x=x_bad, y=y_bad) from exc
-            np.multiply(np.asarray(block, dtype=complex), -colw[j][None, :],
+            np.multiply(block, -colw[j][None, :],
                         out=out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]])
     out[np.diag_indices(n)] += 1.0
     return out
@@ -190,8 +193,12 @@ def _locate_failure(kernel, i, j, xs, ys):
 def determinant(matrix):
     """Determinant via numpy's dense LU with partial pivoting.
 
-    A zero pivot, a matrix singular to working precision, gives an exactly
-    zero determinant.  A non-finite entry raises :class:`DomainError`.
+    The LU runs in complex arithmetic whatever the dtype of ``matrix``:
+    the tabulated Tracy-Widom values were taken that way, and a real LU
+    moves their last digits (at s = -7 its relative error against the
+    reference grew from 2.3e-11 to 2.8e-11).  A zero pivot, a matrix
+    singular to working precision, gives an exactly zero determinant.  A
+    non-finite entry raises :class:`DomainError`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -204,11 +211,6 @@ def determinant(matrix):
 def inverse_rcond(matrix):
     """Inverse of a square matrix and its exact 1-norm reciprocal condition
     number 1 / (||A||_1 ||A^-1||_1); ``(None, 0.0)`` when A is singular.
-
-    eps / rcond is the first-order estimate of the relative rounding error
-    of a dense LU solve or determinant; the backward-error bound adds an
-    order-n constant and the growth factor (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., ch. 9 and 15).
     """
     try:
         inv = np.linalg.inv(matrix)
@@ -218,9 +220,49 @@ def inverse_rcond(matrix):
                              * np.linalg.norm(inv, 1)))
 
 
-def det_at(kernel, m):
-    """Discretized det(I - K) at a fixed per-component node count."""
-    return determinant(assemble(kernel, gauss_legendre(m)))
+def det_at(kernel, m, parts=None, measure=False):
+    """Float64 rung: det S at m nodes per component, and ``parts``.
+
+    S is the Schur complement N_GG - N_GL L^-1 N_LG of N = I - K W on the
+    m-point rule (:func:`assemble`), L the block of the kernel's ``n_edge``
+    leading components; at ``n_edge`` = 0, S is N.  With no component past
+    the edge, det S is exactly 1 and nothing is assembled.  ``measure``
+    adds to a copy of ``parts`` the exact 1-norm rconds of N and L
+    (:func:`inverse_rcond`) and ``rounding_floor`` =
+    eps (1/rcond_numerator + 1/rcond_denominator), eps = 2^-52, or inf if
+    either is singular: the first-order estimate eps kappa of the relative
+    LU rounding error of det S = det N / det L, without the order-n
+    constant and growth factor of its backward-error bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9 and
+    15).  It is relative, so small probabilities keep their relative
+    digits.  :func:`ladder` measures it at m0 only: rcond hardly moves
+    under refinement (7.4e-8 at m = 40 and 7.3e-8 at m = 160 for the
+    tacnode ratio numerator of the gap [-1, 1] at sigma = -4).
+    """
+    parts = {} if parts is None else parts
+    if len(kernel.domains) == kernel.n_edge:
+        return 1.0, dict(parts, rounding_floor=0.0) if measure else parts
+    mat = assemble(kernel, gauss_legendre(m))
+    k = kernel.n_edge * m
+    lead = mat[:k, :k]
+    schur = mat
+    if k:
+        schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
+    if measure:
+        rc_num = inverse_rcond(mat)[1]
+        rc_den = inverse_rcond(lead)[1]
+        floor = _EPS / rc_num + _EPS / rc_den \
+            if rc_num > 0.0 and rc_den > 0.0 else np.inf
+        parts = dict(parts, rounding_floor=floor, rcond_numerator=rc_num,
+                     rcond_denominator=rc_den)
+    return determinant(schur), parts
+
+
+def det_at_dd(kernel, m, parts):
+    """Double-double twin of :func:`det_at`: :func:`gapdet.ddmath.dd_det`
+    of :func:`assemble_dd`, with ``parts`` returned as given."""
+    det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+    return float(det[0]), parts
 
 
 def ladder(rung, m0, tol, n_components, fallback=None):
@@ -283,5 +325,4 @@ def ladder(rung, m0, tol, n_components, fallback=None):
 
 def fredholm_det(kernel, m0=40, tol=1e-8):
     """det(I - K) refined by :func:`ladder` over :func:`det_at`."""
-    return ladder(lambda m: (det_at(kernel, m), {}), m0, tol,
-                  len(kernel.domains))
+    return ladder(lambda m: det_at(kernel, m), m0, tol, len(kernel.domains))

@@ -9,45 +9,30 @@ kernel conditioned on an empty edge.  Agreement of the two routes is the
 strongest correctness check the package has; the test suite exercises it
 on a parameter grid.
 
-Each route is one determinant, and both share its float64 rung.  The
-matrix N = I - K W leads with an edge block L, the ratio's
-(R+, edge) block, whose determinant is the Airy denominator
-F2(sigma_tilde) on N's own rule, or the direct route's edge ray
-[sigma_tilde, inf); the value is det S for the gap block's Schur
-complement S = N_GG - N_GL L^-1 N_LG.  As sigma drops, N and L become
-ill-conditioned together while det S stays of order one, and its digits
-fall off the end of float64 long before the quadrature has converged.  The
-error budget picks the precision: the float64 rung at m0 measures the
-exact 1-norm rcond of N and of L, and the relative rounding floor
-eps (1/rcond_numerator + 1/rcond_denominator), the first-order estimate
-eps kappa of a dense LU's rounding error without the order-n constant of
-its bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-ed., ch. 15).
-:func:`gapdet.fredholm.ladder` makes the switch: a floor within the
-tolerance keeps it in float64, reusing that rung; a floor above it sends
-ratios with real interval weights to the double-double engine (see
-:mod:`gapdet.ddmath`), the ladder's fallback rung, which is all the
-deep-overlap scans need, and raises :class:`DivisionInstabilityError` for
-complex weights and on the direct route, which have no double-double
-path.  The floor is relative and is not scaled by the value: the value is
-a probability, so meeting the tolerance relatively also meets it
-absolutely, and small probabilities keep their relative digits.  The
-ratio's two precisions discretize one
-:class:`gapdet.kernels.TacnodeHKernel` on the same components, through
-:func:`gapdet.fredholm.assemble` and :func:`gapdet.fredholm.assemble_dd`.
+Each tacnode route is one determinant, det S of the gap block's Schur
+complement in N = I - K W, whose leading edge block L is the ratio's
+(R+, edge) block, of determinant F2(sigma_tilde) on N's own rule, or the
+direct route's edge ray [sigma_tilde, inf).  As sigma drops, N and L
+become ill-conditioned together while det S stays of order one.  Both
+routes climb :func:`gapdet.fredholm.ladder` on the float64 rung
+:func:`gapdet.fredholm.det_at`.  When its m0 rounding floor exceeds the
+tolerance, ratios with real weights fall back to the double-double rung
+:func:`gapdet.fredholm.det_at_dd`, which is all the deep-overlap scans
+need, and complex weights and the direct route raise
+:class:`DivisionInstabilityError`.  This module picks the kernel, the
+route label and the fallback; the linear algebra lives in
+:mod:`gapdet.fredholm`.
 """
 
 import math
 
 import numpy as np
 
-from .ddmath import dd_det
 from .errors import DomainError, SanityCheckError
-from .fredholm import (assemble, assemble_dd, det_at, determinant,
-                       fredholm_det, inverse_rcond, ladder)
+from .fredholm import det_at, det_at_dd, fredholm_det, ladder
 from .kernels import (AiryKernel, PearceyKernel, TacnodeDirectKernel,
                       TacnodeHKernel, parse_interval)
-from .quadrature import DomainComponent, gauss_legendre
+from .quadrature import DomainComponent
 
 __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
            "tacnode_gap_ratio", "tacnode_gap_direct", "generating_function",
@@ -57,7 +42,6 @@ __all__ = ["tracy_widom_F2", "airy_gap", "pearcey_gap",
 #: rejected unless the caller forces it.
 SIGMA_WINDOW = 9.0
 
-_EPS = 2.0 ** -52
 _IMAG_TOL = 1e-8
 _PROB_SLACK = 1e-6
 
@@ -118,14 +102,29 @@ def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
     stable window; outside it the kernel's own overflow guard fires.  With
     no endpoints the axis-to-contour coupling vanishes and the value is 1.
     """
-    res = ladder(lambda m: (det_at(PearceyKernel(params, m, imag_variant), m),
-                            {}), m0, tol, 3)
+    res = ladder(lambda m: det_at(PearceyKernel(params, m, imag_variant), m),
+                 m0, tol, 3)
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 
 
 # ---------------------------------------------------------------------------
-# Tacnode: the shared Schur rung and the ratio route
+# Tacnode: both routes climb one driver over their kernel
+
+def _tacnode_gap(kernel, parts, dd_parts, n_components, m0, tol):
+    """Ladder of ``kernel``'s Schur rung, labelled by ``parts``, with a
+    double-double fallback labelled by ``dd_parts`` unless that is None;
+    ``m_used`` has ``n_components`` entries.  Plain gap rows are checked to
+    be probabilities."""
+    fallback = None if dd_parts is None \
+        else (lambda m: det_at_dd(kernel, m, dd_parts))
+    res = ladder(lambda m: det_at(kernel, m, parts, m == m0), m0, tol,
+                 n_components, fallback)
+    if all(z == 0.0 for _, _, _, z in kernel.spec.flat()):
+        _check_probability(res, "tacnode gap (sigma=%g)"
+                           % kernel.params.sigma)
+    return res
+
 
 def _check_sigma_window(params, force_sigma):
     if abs(params.sigma) > SIGMA_WINDOW and not force_sigma:
@@ -133,36 +132,6 @@ def _check_sigma_window(params, force_sigma):
             "|sigma| = %g exceeds the stability window %g; pass "
             "force_sigma=True to override" % (abs(params.sigma),
                                               SIGMA_WINDOW))
-
-
-def _schur_rung_f64(kernel, m, parts, measure):
-    """Float64 det S at m and ``parts``, eliminating the first
-    ``kernel.n_edge`` components, in real arithmetic when N is real.  With
-    ``measure`` set (the m0 rung) ``parts`` gain the rconds of N and L and
-    the rounding floor they give.  Without gap components S is 0 x 0: det S
-    is exactly 1 with floor 0, and nothing is assembled.
-    """
-    if len(kernel.domains) == kernel.n_edge:
-        return 1.0, dict(parts, rounding_floor=0.0)
-    mat = assemble(kernel, gauss_legendre(m))
-    if not mat.imag.any():
-        mat = mat.real
-    k = kernel.n_edge * m
-    lead = mat[:k, :k]
-    schur = mat[k:, k:] - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:])
-    if measure:
-        rc_num = inverse_rcond(mat)[1]
-        rc_den = inverse_rcond(lead)[1]
-        floor = _EPS / rc_num + _EPS / rc_den \
-            if rc_num > 0.0 and rc_den > 0.0 else math.inf
-        parts = dict(parts, rounding_floor=floor, rcond_numerator=rc_num,
-                     rcond_denominator=rc_den)
-    return determinant(schur), parts
-
-
-def _ratio_rung_dd(kernel, m):
-    det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
-    return float(det[0]), {"route": "double-double", "cutoff": kernel.cutoff}
 
 
 def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
@@ -181,7 +150,7 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     weight at z = 1, S is the identity and the ratio is exactly 1; that
     case runs through the ordinary code path as an accuracy check.
 
-    Above the float64 rounding floor (see the module docstring) real
+    Above the float64 rounding floor (:func:`gapdet.fredholm.det_at`) real
     weights climb the ladder in double-double, and complex weights raise
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
     ``tol``.  ``parts`` carry the route taken, the cutoff, the m0
@@ -190,19 +159,12 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeHKernel(params, spec)
-    weights = [z for _, _, _, z in spec.flat()]
-    parts = {"route": "float64", "cutoff": kernel.cutoff}
-    dd_rung = (lambda m: _ratio_rung_dd(kernel, m)) \
-        if all(z.imag == 0.0 for z in weights) else None
-    res = ladder(lambda m: _schur_rung_f64(kernel, m, parts, m == m0),
-                 m0, tol, len(kernel.domains), dd_rung)
-    if all(z == 0.0 for z in weights):
-        _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
-    return res
+    real = all(z.imag == 0.0 for _, _, _, z in spec.flat())
+    return _tacnode_gap(
+        kernel, {"route": "float64", "cutoff": kernel.cutoff},
+        {"route": "double-double", "cutoff": kernel.cutoff} if real else None,
+        len(kernel.domains), m0, tol)
 
-
-# ---------------------------------------------------------------------------
-# Tacnode, direct route
 
 def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """Tacnode gap probability from the direct space-time kernel.
@@ -223,12 +185,8 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeDirectKernel(params, spec)
-    parts = {"route": "direct"}
-    res = ladder(lambda m: _schur_rung_f64(kernel, m, parts, m == m0),
-                 m0, tol, len(kernel.domains) - 1)
-    if all(z == 0.0 for _, _, _, z in spec.flat()):
-        _check_probability(res, "tacnode gap (sigma=%g)" % params.sigma)
-    return res
+    return _tacnode_gap(kernel, {"route": "direct"}, None,
+                        len(kernel.domains) - kernel.n_edge, m0, tol)
 
 
 # ---------------------------------------------------------------------------

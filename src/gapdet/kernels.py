@@ -33,7 +33,7 @@ from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
 __all__ = [
     "airy_kernel_matrix", "AiryKernel",
     "PearceyParams", "PearceyKernel",
-    "TacnodeParams", "GapSpec", "parse_interval", "check_slots",
+    "TacnodeParams", "GapSpec", "parse_interval",
     "tacnode_block_entry",
     "TacnodeHKernel",
     "tail_cutoff",
@@ -81,7 +81,7 @@ class AiryKernel(BlockKernel):
     """Airy kernel over any number of real components."""
 
     def entry(self, i, j, x, y):
-        return airy_kernel_matrix(np.real(x), np.real(y))
+        return airy_kernel_matrix(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ class TacnodeParams:
 
 def parse_interval(iv):
     """``(a, b, z)`` from ``(a, b)`` (z = 0) or ``(a, b, z)``, with a and z
-    finite and a < b; b may be +inf."""
+    finite and a < b; b may be +inf.  z is a float when it is real and a
+    complex otherwise, so real weights assemble real matrices."""
     if len(iv) == 2:
         a, b = iv
         z = 0.0
@@ -232,7 +233,7 @@ def parse_interval(iv):
     if not np.isfinite(z):
         raise DomainError("interval [%r, %r] needs a finite weight z, got %r"
                           % (a, b, z))
-    return a, b, z
+    return a, b, z.real if z.imag == 0.0 else z
 
 
 class GapSpec:
@@ -276,13 +277,6 @@ class GapSpec:
             for a, b, z in slot:
                 out.append((j, a, b, z))
         return out
-
-
-def check_slots(spec, params):
-    """Reject a gap spec whose time-slot count differs from params'."""
-    if spec.n_times != params.r:
-        raise DomainError("gap spec has %d time slots, params has %d"
-                          % (spec.n_times, params.r))
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +338,30 @@ def tail_cutoff(params, spec):
     return max(16.0, float(x), params.sigma_tilde + 8.0)
 
 
-def _gap_layout(spec):
-    """(role, column weight, component) per interval of ``spec``.
+class _LayoutKernel(BlockKernel):
+    """Tacnode kernel over ``edges``, a list of (role, component) pairs
+    with column weight 1 that ``n_edge`` counts, followed by one component
+    per interval of ``spec``.
 
     The role of an interval at time index k is k + 1, its columns carry the
-    factor 1 - z and its component is labelled E[k + 1].  Both tacnode
-    kernels lay the gap set out this way.
+    factor 1 - z and its component is labelled E[k + 1].  A spec whose
+    time-slot count differs from ``params``' is refused.
     """
-    return [(tidx + 1, 1.0 - z,
-             DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
-            for tidx, a, b, z in spec.flat()]
 
-
-class _LayoutKernel(BlockKernel):
-    """Block kernel over a fixed list of (role, column weight, component)."""
-
-    def __init__(self, layout):
+    def __init__(self, params, spec, edges):
+        if spec.n_times != params.r:
+            raise DomainError("gap spec has %d time slots, params has %d"
+                              % (spec.n_times, params.r))
+        layout = [(role, 1.0, comp) for role, comp in edges] \
+            + [(tidx + 1, 1.0 - z,
+                DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
+               for tidx, a, b, z in spec.flat()]
         super().__init__([comp for _, _, comp in layout],
                          [w for _, w, _ in layout])
         self._roles = [role for role, _, _ in layout]
+        self.params = params
+        self.spec = spec
+        self.n_edge = len(edges)
 
 
 class TacnodeHKernel(_LayoutKernel):
@@ -371,7 +370,7 @@ class TacnodeHKernel(_LayoutKernel):
 
     Components, in order: the edge [0, cutoff], the edge
     [sigma_tilde, cutoff] (split at 0 while sigma_tilde < 0), then the gap
-    components of :func:`_gap_layout`.  The edges carry weight 1, and
+    components of :class:`_LayoutKernel`.  The edges carry weight 1, and
     ``n_edge`` counts them (2 or 3).  The kernel vanishes between two edge
     points of one role, so the leading (R+, edge) block of I - K W couples
     R+ to the edge only, and its determinant is the Airy denominator
@@ -382,21 +381,17 @@ class TacnodeHKernel(_LayoutKernel):
     """
 
     def __init__(self, params, spec):
-        check_slots(spec, params)
-        self.params = params
-        self.spec = spec
         self.cutoff = tail_cutoff(params, spec)
-        edges = ([(-1, 1.0, comp)
-                  for comp in edge_components(0.0, self.cutoff, label="R+")]
-                 + [(0, 1.0, comp)
-                    for comp in edge_components(params.sigma_tilde,
-                                                self.cutoff, label="edge")])
-        super().__init__(edges + _gap_layout(spec))
-        self.n_edge = len(edges)
+        super().__init__(
+            params, spec,
+            [(-1, comp) for comp in edge_components(0.0, self.cutoff,
+                                                    label="R+")]
+            + [(0, comp) for comp in edge_components(
+                params.sigma_tilde, self.cutoff, label="edge")])
 
     def entry(self, i, j, x, y):
-        return tacnode_block_entry(self._roles[i], self._roles[j],
-                                   np.real(x), np.real(y), self.params)
+        return tacnode_block_entry(self._roles[i], self._roles[j], x, y,
+                                   self.params)
 
     def entry_dd(self, i, j, x, y):
         return _tacnode_entry_dd(self._roles[i], self._roles[j], x, y,
@@ -631,7 +626,8 @@ class ConditionedKernel:
 
 class TacnodeDirectKernel(_LayoutKernel):
     """Direct tacnode kernel: :class:`FormalTacnodeKernel` laid out over the
-    edge [sigma_tilde, inf) and the gap components of :func:`_gap_layout`.
+    edge [sigma_tilde, inf) and the gap components of
+    :class:`_LayoutKernel`.
 
     The edge leads the layout with weight 1 and reads the formal kernel's
     block 0; ``n_edge`` = 1 counts it.  A gap component of role k reads
@@ -645,14 +641,9 @@ class TacnodeDirectKernel(_LayoutKernel):
     on the edge points (:class:`FormalTacnodeKernel`).
     """
 
-    n_edge = 1
-
     def __init__(self, params, spec):
-        check_slots(spec, params)
-        super().__init__([(0, 1.0, DomainComponent.ray(params.sigma_tilde))]
-                         + _gap_layout(spec))
-        self.params = params
-        self.spec = spec
+        super().__init__(params, spec,
+                         [(0, DomainComponent.ray(params.sigma_tilde))])
         self._formal = FormalTacnodeKernel(params)
 
     def entry(self, i, j, x, y):

@@ -167,6 +167,45 @@ def test_scan_pearcey_airy_rejects_nonpositive_tau_per_row(capsys):
     assert (row["rho"], row["sigma"]) == ("-3", "-3")
 
 
+def test_scan_pearcey_airy_failed_reference_fails_its_rows(capsys):
+    # F2(-13) is outside F2's window: the three rows that read it carry its
+    # error, and the row that reads only F2(-12) keeps its value
+    rc, text = run_text(capsys, ["scan-pearcey-airy", "--lo", "-13",
+                                 "--hi", "-12", "--n", "2"])
+    assert rc == 2
+    rows = parse_rows(text)
+    assert [(r["rho"], r["sigma"]) for r in rows] \
+        == [("-13", "-13"), ("-13", "-12"), ("-12", "-13"), ("-12", "-12")]
+    for row in rows[:3]:
+        assert row["error"] == "DomainError: s must lie in [-12; 12]; got -13"
+        assert row["F_P"] == ""
+    assert rows[3]["error"] == ""
+    assert float(rows[3]["F_P"]) > 0.0
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--a", "-13"], "DomainError: s must lie in [-12; 12]; got -13"),
+    (["--one-sided", "--a", "1", "--b", "0"],
+     "DomainError: interval needs finite a < b; got [1.0; 0.0]"),
+], ids=["two-sided", "one-sided"])
+def test_scan_tacnode_airy_failed_reference_fails_every_row(capsys, argv,
+                                                            error):
+    rc, text = run_text(capsys, ["scan-tacnode-airy", "--n", "2"] + argv)
+    assert rc == 2
+    rows = parse_rows(text)
+    assert [r["param"] for r in rows] == ["1", "5"]
+    assert [r["error"] for r in rows] == [error] * 2
+
+
+def test_scan_tacnode_pearcey_failed_reference_fails_its_rows(capsys):
+    rc, text = run_text(capsys, ["scan-tacnode-pearcey", "--sigmas", "-3",
+                                 "--a-p", "1", "--b-p", "-1"])
+    assert rc == 2
+    row = parse_rows(text)[0]
+    assert row["sigma"] == "-3"
+    assert row["error"] == "DomainError: endpoints must be strictly increasing"
+
+
 def test_pearcey_failed_row_keeps_endpoints(capsys):
     rc, text = run_text(capsys, ["pearcey", "--endpoints", "1", "-1"])
     assert rc == 2

@@ -11,7 +11,8 @@ from gapdet.errors import (DivisionInstabilityError, DomainError,
 from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
                              fredholm_det, inverse_rcond, ladder)
 from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
-from gapdet.kernels import (AiryKernel, GapSpec, TacnodeParams,
+from gapdet.kernels import (AiryKernel, GapSpec, TacnodeDirectKernel,
+                            TacnodeHKernel, TacnodeParams,
                             airy_kernel_matrix)
 from gapdet.quadrature import DomainComponent, gauss_legendre
 
@@ -163,6 +164,50 @@ def test_column_weighting_matches_symmetric_weighting():
     assert abs(d1 - d2) < 1e-12
 
 
+def test_assemble_refuses_a_complex_block_on_real_points():
+    # a real matrix cannot hold the block, and its imaginary part must not
+    # be dropped
+    class ComplexKernel(BlockKernel):
+        def entry(self, i, j, x, y):
+            return 1j * np.outer(x, y)
+    with pytest.raises(TypeError):
+        assemble(ComplexKernel([DomainComponent.finite(0.0, 1.0)]),
+                 gauss_legendre(8))
+
+
+# ---------------------------------------------------------------------------
+# The float64 rung
+
+def test_det_at_without_edge_is_the_plain_determinant():
+    ker = AiryKernel([DomainComponent.ray(-2.0)])
+    assert ker.n_edge == 0
+    value, parts = det_at(ker, 40)
+    assert value == determinant(assemble(ker, gauss_legendre(40)))
+    assert parts == {}
+
+
+@pytest.mark.parametrize("make", [TacnodeHKernel, TacnodeDirectKernel],
+                         ids=["ratio", "direct"])
+def test_det_at_is_the_schur_complement_determinant(make):
+    ker = make(TacnodeParams(-2.0, (-0.5, 0.5)),
+               GapSpec([[(-1.0, 0.0)], [(-1.0, 1.0, 0.3)]]))
+    m = 20
+    mat = assemble(ker, gauss_legendre(m))
+    k = ker.n_edge * m
+    assert k > 0
+    lead = mat[:k, :k]
+    oracle = determinant(mat[k:, k:]
+                         - mat[k:, :k] @ np.linalg.solve(lead, mat[:k, k:]))
+    label = {"route": "label"}
+    assert det_at(ker, m, label) == (oracle, label)
+    value, parts = det_at(ker, m, label, measure=True)
+    assert value == oracle
+    rc_num, rc_den = inverse_rcond(mat)[1], inverse_rcond(lead)[1]
+    assert parts == {"route": "label", "rcond_numerator": rc_num,
+                     "rcond_denominator": rc_den,
+                     "rounding_floor": 2.0 ** -52 * (1 / rc_num + 1 / rc_den)}
+
+
 # ---------------------------------------------------------------------------
 # Fredholm ladder
 
@@ -220,9 +265,9 @@ def test_err_estimate_shrinks_on_refinement():
     # error: from m = 10 on this rank-one determinant is exact to a few ulp,
     # and the order of two such differences is decided by the LU's rounding
     ker = SeparableKernel(np.cos, np.sin, [DomainComponent.finite(0.0, 1.0)])
-    d2 = det_at(ker, 2)
-    d4 = det_at(ker, 4)
-    d8 = det_at(ker, 8)
+    d2 = det_at(ker, 2)[0]
+    d4 = det_at(ker, 4)[0]
+    d8 = det_at(ker, 8)[0]
     assert 1e-14 < abs(d8 - d4) <= abs(d4 - d2)
 
 

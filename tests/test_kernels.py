@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gapdet import gapprob, kernels
+from gapdet import fredholm, gapprob, kernels
 from gapdet.errors import (DivisionInstabilityError, DomainError,
                            KernelEvaluationError, SingularRestrictionError)
 from gapdet.fredholm import assemble, assemble_dd, determinant
@@ -24,6 +24,7 @@ from gapdet.kernels import (
     airy_kernel_matrix,
     coupling_matrix,
     ext_airy_matrix,
+    parse_interval,
     tacnode_block_entry,
     tail_cutoff,
 )
@@ -181,6 +182,14 @@ def test_gap_spec_normalization():
     with pytest.raises(DomainError, match=r"\[-1\.0, 1\.0\]"):
         GapSpec([[(-1.0, 1.0, np.nan)]])
     assert GapSpec([[], []]).flat() == []
+
+
+def test_parse_interval_gives_real_weights_as_floats():
+    # a real z assembles a real matrix, whatever type it came in as
+    z = parse_interval((-1.0, 1.0, 0.3 + 0j))[2]
+    assert type(z) is float and z == 0.3
+    assert type(parse_interval((-1.0, 1.0))[2]) is float
+    assert parse_interval((-1.0, 1.0, 0.3j))[2] == 0.3j
 
 
 def test_tacnode_params_validation():
@@ -422,8 +431,8 @@ def test_direct_kernel_builds_each_table_once_per_component(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return orig(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
-    for name in ("TacnodeDirectKernel", "assemble"):
-        count(gapprob, name)
+    count(gapprob, "TacnodeDirectKernel")
+    count(fredholm, "assemble")
     for name in ("_coupling_matrix", "_ext_airy_table",
                  "_airy_transform_table"):
         count(kernels, name)

@@ -10,13 +10,12 @@ and dd-deep query through the public calls, as ``perfbench/workloads.py``
 does: a tacnode point of f64-mix runs both routes.  Each line carries
 ``repr`` of the value, of ``err_estimate`` and of ``rounding_floor`` (``-``
 when the row has none), ``m_used`` and the route.
-It then runs each cli-scan grid call, the default ``positivity-probe`` and
-``scan-tacnode-pearcey --sigmas -5 -7``, whose two rows run in
-double-double at once, as a fresh ``gapdet`` process with the benchmark's
-row threads, and prints the sha256 of its stdout and its exit code.  Two
-checkouts agree bit for bit on the grid when their outputs are identical,
-so one ``diff`` of two runs checks a change that claims to move no value.
-The deep dd-deep rows take most of the run, about a minute on one core.
+It then runs each cli-scan grid call and the calls of ``EXTRA_CALLS`` as
+fresh ``gapdet`` processes with the benchmark's row threads, and prints the
+sha256 of each one's stdout and its exit code.  Two checkouts agree bit for
+bit on the grid when their outputs are identical, so one ``diff`` of two
+runs checks a change that claims to move no value.  The deep dd-deep rows
+take most of the run, about a minute on one core.
 """
 
 import hashlib
@@ -30,6 +29,23 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
+
+#: CLI calls hashed after the cli-scan grid: the default positivity probe;
+#: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
+#: m_used, route) of a float64 ratio row, a direct row and a dd row; and
+#: scans whose reference value fails, so their error rows are covered too.
+EXTRA_CALLS = [
+    ["positivity-probe"],
+    ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
+    ["tacnode", "--sigma", "-4", "--intervals=-1:1", "--json"],
+    ["tacnode", "--route", "direct", "--sigma", "-2", "--times", "-0.5",
+     "0.5", "--intervals=-1:0;-1:1", "--json"],
+    ["tacnode", "--sigma", "-5", "--intervals=-1:1", "--json"],
+    ["scan-pearcey-airy", "--lo", "-13", "--hi", "-12", "--n", "2"],
+    ["scan-tacnode-airy", "--a", "-13", "--n", "2"],
+    ["scan-tacnode-airy", "--one-sided", "--a", "1", "--b", "0", "--n", "2"],
+    ["scan-tacnode-pearcey", "--sigmas", "-3", "--a-p", "1", "--b-p", "-1"],
+]
 
 
 def library_lines(grid, runner):
@@ -70,9 +86,7 @@ def cli_lines(grid):
     calls = [workloads.cli_argv(kind, point["params"])
              for kind, points in sorted(grid["cli-scan"]["slots"].items())
              for point in points]
-    calls.append(["positivity-probe"])
-    calls.append(["scan-tacnode-pearcey", "--sigmas", "-5", "-7"])
-    for argv in calls:
+    for argv in calls + EXTRA_CALLS:
         proc = subprocess.run([sys.executable, "-m", "gapdet.cli"] + argv,
                               cwd=ROOT, env=env, capture_output=True,
                               timeout=300)
