@@ -377,30 +377,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _count(text):
-    """argparse type of grid sizes and sample counts: an integer >= 0."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("expected a count >= 0, got %d" % n)
-    return n
+def _int_at_least(least, what, name):
+    """argparse type of an integer flag: an integer >= ``least``, refused
+    as ``what`` (e.g. "a count"); ``name`` is the type's name in argparse's
+    own message for text that is not an integer."""
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError("expected %s >= %d, got %d"
+                                             % (what, least, n))
+        return n
+    parse.__name__ = name
+    return parse
 
 
-def _m0(text):
-    """argparse type of --m0: an integer >= 10, the ladder's floor."""
-    n = int(text)
-    if n < 10:
-        raise argparse.ArgumentTypeError("expected m0 >= 10, got %d" % n)
-    return n
-
-
-def _m_inner(text):
-    """argparse type of --m-inner: an integer at least the inner rule's
-    floor."""
-    n = int(text)
-    if n < _MIN_INNER:
-        raise argparse.ArgumentTypeError("expected m_inner >= %d, got %d"
-                                         % (_MIN_INNER, n))
-    return n
+# grid sizes and sample counts, --m0 (the ladder's floor) and --m-inner
+# (the inner rule's floor)
+_count = _int_at_least(0, "a count", "_count")
+_m0 = _int_at_least(10, "m0", "_m0")
+_m_inner = _int_at_least(_MIN_INNER, "m_inner", "_m_inner")
 
 
 def _tol(text):

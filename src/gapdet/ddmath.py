@@ -24,10 +24,11 @@ as one double-double pair.
 Ai comes from a ladder of Taylor anchors spaced 0.25 apart,
 seeded at x = 16 from the exponential asymptotic expansion truncated near
 its optimal index (error ~ exp(-2*zeta(16)) ~ 1e-37) and marched down to
--30 through the differential equation y'' = x*y.  The ladder is built once
-per process, on first use, and is the only Airy ladder in the package: the
-float64 evaluator in :mod:`gapdet.specfun` reads the high words of the same
-coefficients, and of their derivative series for Ai'.
+-30 through the differential equation y'' = x*y.  The ladder and the
+expansion's coefficients are built once per process, on first use, and
+are the only Airy tables in the package: the float64 evaluator in
+:mod:`gapdet.specfun` reads their high words, through the same window
+check and nearest-anchor rule.
 
 Functions accept and return (hi, lo) tuples and assume inputs normalized.
 Scalars may be passed as plain-float pairs; numpy broadcasting applies.
@@ -54,21 +55,25 @@ __all__ = [
     "dd_airy_shifted",
     "dd_heat_kernel",
     "dd_det",
-    "dd_roots_of_two",
     "DD_LN2",
     "DD_PI",
+    "DD_TWO_SIXTH",
+    "DD_CBRT2",
 ]
 
 _SPLITTER = 134217729.0            # 2^27 + 1, Dekker's constant
 
-# hi/lo decompositions of ln 2 and pi; the lo parts are the correctly
-# rounded remainders, the same values every double-double library ships.
+# hi/lo pairs of ln 2, pi, 2^(1/6) and 2^(1/3); the lo parts are the
+# correctly rounded remainders, the same values every dd library ships.
 DD_LN2 = (6.931471805599453e-01, 2.3190468138462996e-17)
 DD_PI = (3.141592653589793e0, 1.2246467991473532e-16)
+DD_TWO_SIXTH = (1.122462048309373e0, -3.578507116853557e-17)
+DD_CBRT2 = (1.2599210498948732e0, -2.589933375300507e-17)
 
 _ANCHOR_TOP = 16.0
 _ANCHOR_STEP = 0.25
 _WINDOW_MIN = -30.0
+_N_ANCHORS = int(round((_ANCHOR_TOP - _WINDOW_MIN) / _ANCHOR_STEP)) + 1
 _BUILD_ORDER = 60    # Taylor order while marching the anchor seeds
 _EVAL_ORDER = 48     # Taylor order kept for runtime evaluation
 _SEED_TERMS = 90     # asymptotic terms at the seed (optimal index ~ 85)
@@ -209,11 +214,12 @@ def dd_exp(x):
     return np.ldexp(e[0], ik), np.ldexp(e[1], ik)
 
 
-def _asym_coeffs_dd(n):
-    """u_k, v_k of the large-x expansions, as scalar double-doubles."""
+@lru_cache(maxsize=1)
+def _asym_coeffs_dd():
+    """u_k, v_k (k < _ASYM_TERMS) of the large-x expansions, as dd pairs."""
     u = [(1.0, 0.0)]
     v = [(1.0, 0.0)]
-    for k in range(1, n):
+    for k in range(1, _ASYM_TERMS):
         num = float((6 * k - 5) * (6 * k - 3) * (6 * k - 1))
         den = float(216 * k * (2 * k - 1))
         uk = dd_div(dd_mul(u[-1], (num, 0.0)), (den, 0.0))
@@ -221,7 +227,7 @@ def _asym_coeffs_dd(n):
                     (float(6 * k - 1), 0.0))
         u.append(uk)
         v.append(vk)
-    return u, v
+    return tuple(u), tuple(v)
 
 
 @lru_cache(maxsize=1)
@@ -237,7 +243,7 @@ def _seed_pair():
     truncated series leaves a relative error ~ exp(-2*zeta) ~ 1e-37,
     comfortably below the double-double unit roundoff.
     """
-    u, v = _asym_coeffs_dd(_SEED_TERMS)
+    u, v = _asym_coeffs_dd()
     zeta = dd_div((128.0, 0.0), (3.0, 0.0))
     t = dd_neg(dd_div((1.0, 0.0), zeta))
     su = u[_SEED_TERMS - 1]
@@ -292,8 +298,7 @@ def _anchor_table():
     Only the 2x2 map taking (y, y') from one anchor to the next is applied
     in sequence.
     """
-    n_steps = int(round((_ANCHOR_TOP - _WINDOW_MIN) / _ANCHOR_STEP))
-    x0 = _ANCHOR_TOP - _ANCHOR_STEP * np.arange(n_steps + 1)
+    x0 = _ANCHOR_TOP - _ANCHOR_STEP * np.arange(_N_ANCHORS)
     hi, lo = _fundamental_coeffs(x0, _BUILD_ORDER)
     # step matrix per anchor: Taylor sums of both solutions and their
     # derivatives at h = -_ANCHOR_STEP (a power of two, so h-products are
@@ -307,8 +312,8 @@ def _anchor_table():
         if k >= 1:
             der = dd_add(dd_mul_pow2(der, h), dd_mul_f(ck, float(k)))
     a, p = _seed_pair()
-    ys = np.empty((4, n_steps + 1))     # a_hi, a_lo, p_hi, p_lo per anchor
-    for i in range(n_steps + 1):
+    ys = np.empty((4, _N_ANCHORS))     # a_hi, a_lo, p_hi, p_lo per anchor
+    for i in range(_N_ANCHORS):
         # the march is sequential; plain-float pairs skip numpy's 0-d
         # overhead at every step
         ys[:, i] = (*a, *p)
@@ -327,17 +332,32 @@ def _anchor_table():
 
 @lru_cache(maxsize=1)
 def _asym_table():
-    u, _ = _asym_coeffs_dd(_ASYM_TERMS)
-    return np.array([c[0] for c in u]), np.array([c[1] for c in u])
+    """(u_hi, u_lo, v_hi) arrays; only float64 Ai' reads the v_k."""
+    u, v = _asym_coeffs_dd()
+    return (np.array([c[0] for c in u]), np.array([c[1] for c in u]),
+            np.array([c[0] for c in v]))
 
 
 # ----------------------------------------------------------------- airy
 
+def _check_window(x):
+    """:class:`DomainError` for an Airy argument below the window."""
+    if x.size and float(np.min(x)) < _WINDOW_MIN:
+        raise DomainError(
+            "airy argument %g below accuracy window minimum %g"
+            % (float(np.min(x)), _WINDOW_MIN))
+
+
+def _nearest_anchor(x):
+    """(index, abscissa, a multiple of 0.25) of the anchor nearest x."""
+    idx = np.rint((_ANCHOR_TOP - x) / _ANCHOR_STEP).astype(np.intp)
+    idx = np.clip(idx, 0, _N_ANCHORS - 1)
+    return idx, _ANCHOR_TOP - _ANCHOR_STEP * idx
+
+
 def _airy_anchor(x):
     c_hi, c_lo, _ = _anchor_table()
-    idx = np.rint((_ANCHOR_TOP - x[0]) / _ANCHOR_STEP).astype(int)
-    idx = np.clip(idx, 0, c_hi.shape[0] - 1)
-    x0 = _ANCHOR_TOP - _ANCHOR_STEP * idx     # exact: multiples of 0.25
+    idx, x0 = _nearest_anchor(x[0])
     h = dd_add_f(x, -x0)
     ca_hi, ca_lo = c_hi[idx], c_lo[idx]
     ai = (ca_hi[..., -1], ca_lo[..., -1])
@@ -354,7 +374,7 @@ def _airy_asym_scaled(x):
     sit near index 85 and have not grown back past that level by 120, and
     for larger x the series is still decaying at index 120.
     """
-    u_hi, u_lo = _asym_table()
+    u_hi, u_lo, _ = _asym_table()
     zeta = dd_div(dd_mul_pow2(dd_mul(x, dd_sqrt(x)), 2.0), (3.0, 0.0))
     t = dd_neg(dd_div((np.ones_like(x[0]), np.zeros_like(x[0])), zeta))
     su = (np.full_like(x[0], u_hi[-1]), np.full_like(x[0], u_lo[-1]))
@@ -375,10 +395,7 @@ def dd_airy_ai(x):
     """
     hi = np.asarray(x[0], dtype=float)
     lo = np.asarray(x[1], dtype=float)
-    if hi.size and float(np.min(hi)) < _WINDOW_MIN:
-        raise DomainError(
-            "airy argument %g below accuracy window minimum %g"
-            % (float(np.min(hi)), _WINDOW_MIN))
+    _check_window(hi)
     ai_hi = np.empty_like(hi)
     ai_lo = np.empty_like(hi)
     near = hi < _ANCHOR_TOP
@@ -399,20 +416,6 @@ def dd_airy_ai(x):
 
 # --------------------------------------------------------------- specfun
 
-@lru_cache(maxsize=1)
-def dd_roots_of_two():
-    """(2^(1/6), 2^(1/3)) as scalar double-double pairs."""
-    out = []
-    for num, den in ((1.0, 6.0), (1.0, 3.0)):
-        # the fraction itself must be a double-double; a float64 exponent
-        # error of ~1e-17 would survive into 2^frac
-        frac = dd_div((num, 0.0), (den, 0.0))
-        arg = dd_mul(DD_LN2, frac)
-        e = dd_exp((np.asarray(arg[0]), np.asarray(arg[1])))
-        out.append((float(e[0]), float(e[1])))
-    return tuple(out)
-
-
 def dd_airy_shifted(tau, x):
     """Shifted Airy function 2^(1/6)*exp(tau*x + 2*tau^3/3)*Ai(x + tau^2).
 
@@ -421,7 +424,6 @@ def dd_airy_shifted(tau, x):
     combined before a single exp so the result never round-trips through
     inf.  Raises OverflowError when the value itself is unrepresentable.
     """
-    two_sixth = dd_roots_of_two()[0]
     tau2 = dd_mul(tau, tau)
     c0 = dd_mul(dd_mul(tau2, tau), dd_div((2.0, 0.0), (3.0, 0.0)))
     w = dd_add_f(dd_add_f(x, tau2[0]), tau2[1])
@@ -437,7 +439,7 @@ def dd_airy_shifted(tau, x):
                 "dd_airy_shifted overflow: log-magnitude %.3g exceeds "
                 "float range" % float(np.max(expo[0])))
         with np.errstate(under="ignore"):
-            val = dd_mul(dd_mul(amp_ai, dd_exp(expo)), two_sixth)
+            val = dd_mul(dd_mul(amp_ai, dd_exp(expo)), DD_TWO_SIXTH)
         out_hi[far], out_lo[far] = val
     near = ~far
     if np.any(near):
@@ -448,7 +450,7 @@ def dd_airy_shifted(tau, x):
                 "float range" % float(np.max(pn[0])))
         ai = dd_airy_ai((w[0][near], w[1][near]))
         with np.errstate(under="ignore"):
-            val = dd_mul(dd_mul(ai, dd_exp(pn)), two_sixth)
+            val = dd_mul(dd_mul(ai, dd_exp(pn)), DD_TWO_SIXTH)
         out_hi[near], out_lo[near] = val
     return out_hi, out_lo
 

@@ -82,9 +82,10 @@ class DetResult:
 
     ``err_estimate`` is the Cauchy difference between the last two rungs,
     floored at one ulp of the value: two rungs that round to the same float
-    confirm it only to its last bit.  On float64 rows of both tacnode
-    routes it is also at least ``parts["rounding_floor"]`` times |value|,
-    the relative rounding floor that :func:`det_at` measures at m0.
+    confirm it only to its last bit.  It is always below |value|.  On
+    float64 rows of both tacnode routes it is also at least
+    ``parts["rounding_floor"]`` times |value|, the relative rounding floor
+    that :func:`det_at` measures at m0.
     ``m_used`` is the node count of the final rung per refined component.
     ``parts`` is the m0 rung's dict with the final rung's laid over it, so
     double-double rows keep the float64 floor and rconds that chose them.
@@ -276,7 +277,9 @@ def ladder(rung, m0, tol, n_components, fallback=None):
     not within tol either, it raises :class:`DivisionInstabilityError`
     carrying the floor and tol.  The ladder then runs 2*m0, and 4*m0 once
     if needed; it raises :class:`NonConvergenceError`, carrying the last
-    two values, when even 4*m0 leaves the estimate above tol.  The estimate
+    two values and the estimate, when even 4*m0 leaves the estimate above
+    tol, and when the final estimate is not below |value|: a value with no
+    correct digit is refused, however small tol makes it.  The estimate
     is the difference of the last two rungs, floored at one ulp of the last
     value and at the m0 floor of the rung in use times |value|, so a
     tolerance below either is never met.  The :class:`DetResult` takes its
@@ -319,6 +322,10 @@ def ladder(rung, m0, tol, n_components, fallback=None):
                 "not converged: err(v(%d), v(%d)) = %.3e > %.3e"
                 % (m, m // 2, err, tol),
                 values=(prev, curr), err_estimate=err)
+    if not err < abs(curr):
+        raise NonConvergenceError(
+            "no correct digit: err %.3e >= |v(%d)| = %.3e"
+            % (err, m, abs(curr)), values=(prev, curr), err_estimate=err)
     return DetResult(value=complex(curr), err_estimate=err,
                      m_used=(m,) * n_components, parts={**first, **parts})
 

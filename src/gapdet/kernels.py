@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddmath import (dd_add, dd_add_f, dd_airy_ai, dd_airy_shifted,
-                     dd_heat_kernel, dd_mul, dd_neg, dd_roots_of_two, dd_sub)
+from .ddmath import (DD_CBRT2, dd_add, dd_add_f, dd_airy_ai, dd_airy_shifted,
+                     dd_heat_kernel, dd_mul, dd_neg, dd_sub)
 from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel, inverse_rcond
 from .quadrature import (DomainComponent, edge_components, gauss_legendre,
@@ -41,7 +41,7 @@ __all__ = [
     "FormalTacnodeKernel", "ConditionedKernel", "TacnodeDirectKernel",
 ]
 
-_CBRT2 = 2.0 ** (1.0 / 3.0)
+_CBRT2 = DD_CBRT2[0]
 _DIAG_SWITCH = 1e-6
 _EXP_GUARD = 700.0
 _MIN_INNER = 20
@@ -87,6 +87,16 @@ class AiryKernel(BlockKernel):
 # ---------------------------------------------------------------------------
 # Pearcey kernel
 
+def _finite_increasing(name, values):
+    """The float tuple ``values`` named ``name``, refused unless finite and
+    strictly increasing; a scalar parameter is checked as a one-tuple."""
+    if any(not np.isfinite(v) for v in values):
+        raise DomainError("%s must be finite" % name)
+    if any(values[k] >= values[k + 1] for k in range(len(values) - 1)):
+        raise DomainError("%s must be strictly increasing" % name)
+    return values
+
+
 @dataclass(frozen=True)
 class PearceyParams:
     """Quartic-phase parameter tau and gap endpoints a_1 < ... < a_2N."""
@@ -95,19 +105,14 @@ class PearceyParams:
     endpoints: tuple
 
     def __post_init__(self):
-        tau = float(self.tau)
-        if not np.isfinite(tau):
-            raise DomainError("tau must be finite")
+        tau, = _finite_increasing("tau", (float(self.tau),))
         eps = tuple(float(a) for a in self.endpoints)
         if len(eps) % 2 != 0:
             raise DomainError("endpoint count must be even, got %d"
                               % len(eps))
-        if any(not np.isfinite(a) for a in eps):
-            raise DomainError("endpoints must be finite")
-        if any(eps[k] >= eps[k + 1] for k in range(len(eps) - 1)):
-            raise DomainError("endpoints must be strictly increasing")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "endpoints", eps)
+        object.__setattr__(self, "endpoints",
+                           _finite_increasing("endpoints", eps))
 
 
 def _exp_outer(rows, cols):
@@ -192,18 +197,12 @@ class TacnodeParams:
     times: tuple
 
     def __post_init__(self):
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma):
-            raise DomainError("sigma must be finite")
+        sigma, = _finite_increasing("sigma", (float(self.sigma),))
         times = tuple(float(t) for t in self.times)
         if len(times) < 1:
             raise DomainError("at least one time is required")
-        if any(not np.isfinite(t) for t in times):
-            raise DomainError("times must be finite")
-        if any(times[k] >= times[k + 1] for k in range(len(times) - 1)):
-            raise DomainError("times must be strictly increasing")
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", _finite_increasing("times", times))
 
     @property
     def r(self):
@@ -411,7 +410,6 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
     X = (x[0][:, None], x[1][:, None])
     Y = (y[0][None, :], y[1][None, :])
     sig = float(params.sigma)
-    cbrt2 = dd_roots_of_two()[1]
     if ri in (-1, 0) and rj in (-1, 0):
         if ri == rj:
             shape = (x[0].size, y[0].size)
@@ -419,19 +417,19 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
         return dd_neg(dd_airy_ai(dd_add(X, Y)))
     if ri == -1:
         tau = params.times[rj - 1]
-        arg = dd_add(dd_mul(X, cbrt2), dd_add_f(dd_neg(Y), sig))
+        arg = dd_add(dd_mul(X, DD_CBRT2), dd_add_f(dd_neg(Y), sig))
         return dd_airy_shifted((-tau, 0.0), arg)
     if ri == 0:
         tau = params.times[rj - 1]
-        arg = dd_add(dd_mul(X, cbrt2), dd_add_f(Y, -sig))
+        arg = dd_add(dd_mul(X, DD_CBRT2), dd_add_f(Y, -sig))
         return dd_airy_shifted((-tau, 0.0), arg)
     if rj == -1:
         tau = params.times[ri - 1]
-        arg = dd_add(dd_mul(Y, cbrt2), dd_add_f(dd_neg(X), sig))
+        arg = dd_add(dd_mul(Y, DD_CBRT2), dd_add_f(dd_neg(X), sig))
         return dd_airy_shifted((tau, 0.0), arg)
     if rj == 0:
         tau = params.times[ri - 1]
-        arg = dd_add(dd_mul(Y, cbrt2), dd_add_f(X, -sig))
+        arg = dd_add(dd_mul(Y, DD_CBRT2), dd_add_f(X, -sig))
         return dd_airy_shifted((tau, 0.0), arg)
     ti = params.times[ri - 1]
     tj = params.times[rj - 1]
@@ -532,12 +530,12 @@ class FormalTacnodeKernel:
     :class:`ConditionedKernel` reads its entries for the positivity probe.
 
     Every inner-rule table is built once per kernel and set of points.  Per
-    time block k and its points x, the tables :func:`_ext_airy_table` at
-    (t_k, sigma - x) and (-t_k, sigma - x) serve both the time-time blocks,
-    as the row table of one and the column table of the other, and the
-    couplings (k, 0) and (0, k), as their reflection tables; the
-    Airy-transform table of the couplings depends only on the block-0
-    points.
+    time block k and its points x, one memo entry holds the weighted
+    :func:`_ext_airy_table` at (t_k, sigma - x) and the plain and weighted
+    ones at (-t_k, sigma - x): the time-time blocks read the first as row
+    and the second as column table, and the couplings (k, 0) and (0, k)
+    the first and the third as reflection tables.  One more entry per set
+    of block-0 points holds the couplings' Airy-transform table.
     """
 
     def __init__(self, params, m_inner=80):
@@ -546,44 +544,38 @@ class FormalTacnodeKernel:
         self.m_inner = m_inner
         self._tables = {}
 
-    def _ext_table(self, blk, sign, x, weighted=False):
-        """:func:`_ext_airy_table` at (sign t_blk, sigma - x), its columns
-        times the inner rule's weights when ``weighted``."""
-        key = (blk, sign, x.tobytes())
-        if weighted:
-            wv = _inner_rule(self.m_inner)[1]
-            return _memo(self._tables, key + ("w",),
-                         lambda: self._ext_table(blk, sign, x) * wv[None, :])
-        return _memo(self._tables, key, lambda: _ext_airy_table(
-            sign * self.params.times[blk - 1], self.params.sigma - x,
-            self.m_inner))
+    def _ext_tables(self, blk, x):
+        """(weighted at t_blk, plain and weighted at -t_blk) extended-Airy
+        tables of time block ``blk`` at points x."""
+        def make():
+            tau = self.params.times[blk - 1]
+            wv = _inner_rule(self.m_inner)[1][None, :]
+            xi = self.params.sigma - x
+            minus = _ext_airy_table(-tau, xi, self.m_inner)
+            return (_ext_airy_table(tau, xi, self.m_inner) * wv, minus,
+                    minus * wv)
+        return _memo(self._tables, (blk, x.tobytes()), make)
 
-    def _coupling(self, blk, sign, x, u):
-        """Coupling of time block ``blk`` at points x to block-0 points u,
-        at tau = sign t_blk."""
-        u = np.atleast_1d(u)
-        return _coupling_matrix(
-            sign * self.params.times[blk - 1],
-            np.atleast_1d(x - self.params.sigma), u,
-            self._ext_table(blk, sign, x, weighted=True),
-            _memo(self._tables, ("transform", u.tobytes()),
-                  lambda: _airy_transform_table(u, self.m_inner)))
+    def _transform(self, u):
+        return _memo(self._tables, u.tobytes(),
+                     lambda: _airy_transform_table(u, self.m_inner))
 
     def entry(self, i, j, x, y):
-        x = np.real(np.asarray(x))
-        y = np.real(np.asarray(y))
+        times, sig = self.params.times, self.params.sigma
         if i == 0 and j == 0:
             return airy_kernel_matrix(x, y)
         if i == 0:
-            return -self._coupling(j, -1.0, y, x).T
+            return -_coupling_matrix(-times[j - 1], y - sig, x,
+                                     self._ext_tables(j, y)[2],
+                                     self._transform(x)).T
         if j == 0:
-            return -self._coupling(i, 1.0, x, y)
-        ti = self.params.times[i - 1]
-        tj = self.params.times[j - 1]
-        out = self._ext_table(i, 1.0, x, weighted=True) \
-            @ self._ext_table(j, -1.0, y).T
-        if ti > tj:
-            out = out - heat_kernel(ti - tj, x[:, None], y[None, :])
+            return -_coupling_matrix(times[i - 1], x - sig, y,
+                                     self._ext_tables(i, x)[0],
+                                     self._transform(y))
+        out = self._ext_tables(i, x)[0] @ self._ext_tables(j, y)[1].T
+        if times[i - 1] > times[j - 1]:
+            out = out - heat_kernel(times[i - 1] - times[j - 1],
+                                    x[:, None], y[None, :])
         return out
 
 

@@ -1,20 +1,22 @@
 """Airy function, its shifted variant, Gaussian kernel and quartic phase.
 
 The Airy pair (Ai, Ai') is evaluated from scratch; no special-function
-library is used at runtime.  Two regimes cover the window:
+library is used at runtime.  Both regimes read the high words of the
+double-double tables of :mod:`gapdet.ddmath`, the only Airy tables in the
+package, built once per process on first use:
 
 * ``x < 16``  -- the Taylor polynomial of degree 21 about the nearest anchor
-  of the ladder built by :mod:`gapdet.ddmath` (anchors every 0.25 on
-  [-30, 16]), read from the high words of its double-double coefficients.
-  With |x - anchor| <= 1/8 the truncation error is below 1e-24 relative to
+  of the ladder (anchors every 0.25 on [-30, 16]).  With
+  |x - anchor| <= 1/8 the truncation error is below 1e-24 relative to
   the local amplitude, so what remains is float64 rounding: a few units in
-  the last place, relative to Ai itself on the positive side.  The ladder
-  is built once per process, on first use.
-* ``x >= 16`` -- the exponential asymptotic expansion, 25 terms, whose
-  truncation error there is below 1e-22 relative.  Far out it underflows to
-  an exact 0.0 (the correctly rounded value) rather than raising.
+  the last place, relative to Ai itself on the positive side.
+* ``x >= 16`` -- the exponential asymptotic expansion, its first 25
+  coefficients u_k (v_k for Ai'), whose truncation error there is below
+  1e-22 relative.  Far out it underflows to an exact 0.0 (the correctly
+  rounded value) rather than raising.
 
-Accuracy window: x >= -30.  Arguments below -30 raise :class:`DomainError`.
+Accuracy window: x >= -30.  Arguments below -30 raise :class:`DomainError`,
+through the window check that the double-double evaluator also uses.
 
 Most callers read Ai alone: :func:`airy_ai`, :func:`airy_shifted` and the
 tacnode and coupling tables in :mod:`gapdet.kernels`.  They call
@@ -27,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddmath import _ANCHOR_STEP, _ANCHOR_TOP, _WINDOW_MIN, _anchor_table
+from .ddmath import (DD_TWO_SIXTH, _ANCHOR_TOP, _WINDOW_MIN, _anchor_table,
+                     _asym_table, _check_window, _nearest_anchor)
 from .errors import DomainError
 
 __all__ = [
@@ -46,41 +49,26 @@ _EVAL_ORDER = 22     # Taylor order for runtime anchor evaluation
 AIRY_WINDOW_MIN = _WINDOW_MIN
 
 _SQRT_PI = np.sqrt(np.pi)
-_TWO_SIXTH = 2.0 ** (1.0 / 6.0)
-
-
-def _asym_coeffs(n):
-    """Coefficient sequences u_k, v_k of the large-x expansion."""
-    u = np.empty(n)
-    v = np.empty(n)
-    u[0] = 1.0
-    v[0] = 1.0
-    for k in range(1, n):
-        u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) \
-            / (216.0 * k * (2 * k - 1))
-        v[k] = -u[k] * (6 * k + 1) / (6 * k - 1)
-    return u, v
-
-
-_U_COEF, _V_COEF = _asym_coeffs(_ASYM_TERMS)
+_TWO_SIXTH = DD_TWO_SIXTH[0]
 
 
 def _ai_asym_pos_scaled(x, prime):
     """Exponential-form expansion, returning (ai*e^zeta, aip*e^zeta, zeta);
     without ``prime`` the v-series is skipped and aip*e^zeta is None."""
+    u, _, v = _asym_table()
     x = np.asarray(x, dtype=float)
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     t = -1.0 / zeta
-    su = np.full_like(x, _U_COEF[-1])
+    su = np.full_like(x, u[_ASYM_TERMS - 1])
     for k in range(_ASYM_TERMS - 2, -1, -1):
-        su = su * t + _U_COEF[k]
+        su = su * t + u[k]
     root = np.sqrt(np.sqrt(x))
     amp_ai = su / (2.0 * _SQRT_PI * root)
     if not prime:
         return amp_ai, None, zeta
-    sv = np.full_like(x, _V_COEF[-1])
+    sv = np.full_like(x, v[_ASYM_TERMS - 1])
     for k in range(_ASYM_TERMS - 2, -1, -1):
-        sv = sv * t + _V_COEF[k]
+        sv = sv * t + v[k]
     amp_aip = -sv * root / (2.0 * _SQRT_PI)
     return amp_ai, amp_aip, zeta
 
@@ -103,9 +91,8 @@ def _ai_anchor(x, prime):
     """(Ai, Ai') from the anchor Taylor polynomials, or (Ai,) without
     ``prime``."""
     coef, dcoef = _anchor_coeffs()
-    idx = np.rint((_ANCHOR_TOP - x) / _ANCHOR_STEP).astype(np.intp)
-    idx = np.clip(idx, 0, coef.shape[1] - 1)
-    h = x - (_ANCHOR_TOP - _ANCHOR_STEP * idx)
+    idx, x0 = _nearest_anchor(x)
+    h = x - x0
     ai = coef[-1][idx]
     for k in range(_EVAL_ORDER - 2, -1, -1):
         ai *= h
@@ -128,10 +115,7 @@ def _airy_eval(x, prime=True):
     here, so this is the one place that counts them.
     """
     x = np.asarray(x, dtype=float)
-    if x.size and float(np.min(x)) < AIRY_WINDOW_MIN:
-        raise DomainError(
-            "airy argument %g below accuracy window minimum %g"
-            % (float(np.min(x)), AIRY_WINDOW_MIN))
+    _check_window(x)
     near = x < _ANCHOR_TOP
     if np.all(near):
         vals = _ai_anchor(x, prime)

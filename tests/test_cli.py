@@ -168,18 +168,22 @@ def test_scan_pearcey_airy_rejects_nonpositive_tau_per_row(capsys):
 
 
 def test_scan_pearcey_airy_failed_reference_fails_its_rows(capsys):
-    # F2(-13) is outside F2's window: the three rows that read it carry its
-    # error, and the row that reads only F2(-12) keeps its value
-    rc, text = run_text(capsys, ["scan-pearcey-airy", "--lo", "-13",
-                                 "--hi", "-12", "--n", "2"])
-    assert rc == 2
-    rows = parse_rows(text)
-    assert [(r["rho"], r["sigma"]) for r in rows] \
-        == [("-13", "-13"), ("-13", "-12"), ("-12", "-13"), ("-12", "-12")]
-    for row in rows[:3]:
-        assert row["error"] == "DomainError: s must lie in [-12; 12]; got -13"
-        assert row["F_P"] == ""
-    assert rows[3]["error"] == ""
+    # F2(-13) is outside F2's window and F2(-12), inside it, has no correct
+    # digit: each row carries the error of the first reference it reads
+    # that failed, and the row that reads only F2(-3) keeps its value
+    out_of_window = "DomainError: s must lie in [-12; 12]; got -13"
+    no_digit = ("NonConvergenceError: no correct digit: err 1.236e-39 >= "
+                "|v(80)| = 2.006e-63")
+    for hi, errors in (("-12", [out_of_window, no_digit] * 2),
+                       ("-3", [out_of_window] * 3 + [""])):
+        rc, text = run_text(capsys, ["scan-pearcey-airy", "--lo", "-13",
+                                     "--hi", hi, "--n", "2"])
+        assert rc == 2
+        rows = parse_rows(text)
+        assert [(r["rho"], r["sigma"]) for r in rows] \
+            == [("-13", "-13"), ("-13", hi), (hi, "-13"), (hi, hi)]
+        assert [r["error"] for r in rows] == errors
+        assert [r["F_P"] == "" for r in rows] == [bool(e) for e in errors]
     assert float(rows[3]["F_P"]) > 0.0
 
 

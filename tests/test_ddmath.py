@@ -10,8 +10,10 @@ import pytest
 
 from gapdet import ddmath
 from gapdet.ddmath import (
+    DD_CBRT2,
     DD_LN2,
     DD_PI,
+    DD_TWO_SIXTH,
     dd_add,
     dd_airy_ai,
     dd_airy_shifted,
@@ -23,7 +25,6 @@ from gapdet.ddmath import (
     dd_heat_kernel,
     dd_mul,
     dd_neg,
-    dd_roots_of_two,
     dd_sqrt,
     dd_sub,
 )
@@ -96,10 +97,8 @@ def test_constants():
 
 
 def test_roots_of_two():
-    roots = dd_roots_of_two()
-    assert len(roots) == 2
-    for pair, p in zip(roots, (mp.mpf(1) / 6, mp.mpf(1) / 3)):
-        assert rel_err(pair, mp.power(2, p)) < 5e-31
+    assert rel_err(DD_TWO_SIXTH, mp.power(2, mp.mpf(1) / 6)) < 1e-32
+    assert rel_err(DD_CBRT2, mp.power(2, mp.mpf(1) / 3)) < 1e-32
 
 
 def test_gauss_legendre_nodes_refine_the_float64_rule():

@@ -372,6 +372,22 @@ def test_ladder_within_floor_runs_each_rung_once(values, m_final):
                          "rounding_floor": 1e-9, "rcond": 0.25}
 
 
+@pytest.mark.parametrize("values, m_final", [
+    ({10: 3e-10, 20: 1e-10}, 20),
+    ({10: 1.0, 20: 0.0, 40: 0.0}, 40),
+], ids=["err-above-value", "exact-zero"])
+def test_ladder_refuses_a_value_with_no_correct_digit(values, m_final):
+    # an estimate within tol but not below |value| backs no digit of it
+    with pytest.raises(NonConvergenceError) as info:
+        ladder(counting_rung(values), 10, 1e-8, 1)
+    prev, curr = values[m_final // 2], values[m_final]
+    assert info.value.values == (prev, curr)
+    assert info.value.err_estimate == max(abs(curr - prev),
+                                          np.spacing(abs(curr)))
+    assert info.value.err_estimate >= abs(curr)
+    assert "no correct digit" in str(info.value)
+
+
 def test_ladder_floor_above_tol_runs_fallback_from_m0():
     rung = counting_rung({10: 0.5}, floor=1e-6)
     fallback = counting_rung({10: 0.5, 20: 0.5 + 1e-12},

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from gapdet import fredholm
 from gapdet.errors import (DivisionInstabilityError, DomainError,
-                           SanityCheckError)
+                           NonConvergenceError, SanityCheckError)
 from gapdet.fredholm import (BlockKernel, DetResult, assemble, det_at,
                              determinant, fredholm_det)
 from gapdet.gapprob import (SIGMA_WINDOW, _check_probability, airy_gap,
@@ -119,6 +119,14 @@ def test_tracy_widom_domain_guard():
         tracy_widom_F2(12.5)
 
 
+@pytest.mark.parametrize("s", [-8.75, -12.0])
+def test_tracy_widom_refuses_values_without_a_correct_digit(s):
+    # inside the window, but the rung difference exceeds the value itself
+    with pytest.raises(NonConvergenceError) as info:
+        tracy_widom_F2(s)
+    assert info.value.err_estimate >= abs(info.value.values[1])
+
+
 # ---------------------------------------------------------------------------
 # Airy gap on interval unions
 
@@ -134,6 +142,12 @@ def test_airy_gap_validation():
         airy_gap([(0.0, np.inf)])
     with pytest.raises(DomainError):
         airy_gap([(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("item", [(-1.0, 1.0, 0.5), (-1.0,), 1.0])
+def test_airy_gap_refuses_an_item_that_is_not_a_pair(item):
+    with pytest.raises(DomainError, match="must be an \\(a, b\\) pair"):
+        airy_gap([item])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gapdet import ddmath
 from gapdet.errors import DomainError
 from gapdet.quadrature import gauss_legendre, map_contour_right
 from gapdet.specfun import (
@@ -122,6 +123,33 @@ def test_airy_window_rejected_below_minimum():
         airy_ai(-30.0000001)
     with pytest.raises(DomainError):
         airy_ai(np.array([0.0, -31.0]))
+
+
+def test_airy_window_error_is_shared_with_double_double():
+    with pytest.raises(DomainError) as f64:
+        airy_ai(-31.0)
+    with pytest.raises(DomainError) as dd:
+        ddmath.dd_airy_ai((np.array([-31.0]), np.array([0.0])))
+    assert str(f64.value) == str(dd.value) \
+        == "airy argument -31 below accuracy window minimum -30"
+
+
+def test_asymptotic_coefficients_are_the_dd_high_words(monkeypatch):
+    # the large-x branch reads the high words of the double-double u_k and
+    # v_k, so a perturbed u_k in that one table moves float64 Ai at x = 20
+    u, v = ddmath._asym_coeffs_dd()
+    u_hi, _, v_hi = ddmath._asym_table()
+    assert list(u_hi[:25]) == [c[0] for c in u[:25]]
+    assert list(v_hi[:25]) == [c[0] for c in v[:25]]
+    before = airy_ai(20.0)
+    mutant = ([c if k != 2 else (c[0] * (1.0 + 1e-6), 0.0)
+               for k, c in enumerate(u)], v)
+    monkeypatch.setattr(ddmath, "_asym_coeffs_dd", lambda: mutant)
+    ddmath._asym_table.cache_clear()
+    try:
+        assert airy_ai(20.0) != before
+    finally:
+        ddmath._asym_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

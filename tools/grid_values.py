@@ -33,7 +33,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 #: CLI calls hashed after the cli-scan grid: the default positivity probe;
 #: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
 #: m_used, route) of a float64 ratio row, a direct row and a dd row; and
-#: scans whose reference value fails, so their error rows are covered too.
+#: scans whose reference value fails, so their error rows are covered too;
+#: and an F2 table running into the left tail where values lose every digit.
 EXTRA_CALLS = [
     ["positivity-probe"],
     ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
@@ -45,6 +46,7 @@ EXTRA_CALLS = [
     ["scan-tacnode-airy", "--a", "-13", "--n", "2"],
     ["scan-tacnode-airy", "--one-sided", "--a", "1", "--b", "0", "--n", "2"],
     ["scan-tacnode-pearcey", "--sigmas", "-3", "--a-p", "1", "--b-p", "-1"],
+    ["tw", "--s-min", "-10", "--s-max", "-8", "--steps", "8", "--json"],
 ]
 
 
