@@ -32,9 +32,9 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: CLI calls hashed after the cli-scan grid: the default positivity probe;
 #: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
-#: m_used, route) of a float64 ratio row, a direct row and a dd row; and
-#: scans whose reference value fails, so their error rows are covered too;
-#: and an F2 table running into the left tail where values lose every digit.
+#: m_used, route) of a float64 ratio row, a direct row and a dd row; scans
+#: whose reference value fails, so their error rows are covered too; and an
+#: F2 table running into the left tail, where values lose every digit.
 EXTRA_CALLS = [
     ["positivity-probe"],
     ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
