@@ -1,8 +1,8 @@
 """Gap probabilities of the Airy, Pearcey and tacnode point processes.
 
 Fredholm determinants of the relevant operator kernels are evaluated by
-Nystrom discretization on Gauss-Legendre rules, with semi-infinite domains
-and complex contours handled through smooth parameter maps.
+Nystrom discretization on Gauss-Legendre rules on the real line, with
+semi-infinite domains handled through a smooth parameter map.
 """
 
 __version__ = "0.1.0"

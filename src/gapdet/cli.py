@@ -179,7 +179,7 @@ def run_tw(s_min, s_max, steps, m0=40, tol=1e-8):
     return ["s", "F2", "err", "error"], _map_rows(worker, grid)
 
 
-def run_pearcey(tau, endpoints, m0=60, tol=1e-8):
+def run_pearcey(tau, endpoints, m0=20, tol=1e-8):
     def worker(row):
         params = PearceyParams(tau=tau, endpoints=tuple(endpoints))
         res = pearcey_gap(params, m0=m0, tol=tol)
@@ -227,10 +227,11 @@ def run_tacnode(sigma, times, intervals, route="ratio", m0=40, tol=1e-8,
     return ["sigma", "F_tac", "err", "error"], rows
 
 
-def run_scan_pearcey_airy(tau, lo, hi, n, m0=60, tol=1e-8):
+def run_scan_pearcey_airy(tau, lo, hi, n, m0=20, tol=1e-8):
+    """Pearcey gaps at ``m0`` against F2 products at F2's own default m0."""
     grid = np.linspace(lo, hi, n)
-    f2 = {float(v): _reference(lambda: tracy_widom_F2(
-        v, m0=max(40, m0 // 2), tol=tol).real) for v in grid}
+    f2 = {float(v): _reference(lambda: tracy_widom_F2(v, tol=tol).real)
+          for v in grid}
 
     def worker(row):
         rho, sig = row["rho"], row["sigma"]
@@ -250,16 +251,16 @@ def run_scan_tacnode_pearcey(sigmas, a_p, b_p, taus_p, branch=1.0, m0=40,
                              tol=1e-8, force_sigma=False):
     """Tacnode rows converging to a Pearcey gap as sigma drops.
 
-    With one Pearcey time the reference F_P is computed once and a
-    relative-difference column is emitted; if it fails, every row carries
-    its error.  With several times no Pearcey reference exists here, so the
-    discrepancy column reports the relative change from the previous row
-    instead (a convergence indicator).
+    With one Pearcey time the reference F_P is computed once, at
+    :func:`pearcey_gap`'s own m0, and a relative-difference column is
+    emitted; if it fails, every row carries its error.  With several times
+    no Pearcey reference exists here, so the discrepancy column reports the
+    relative change from the previous row instead (a convergence
+    indicator).
     """
     multi = len(taus_p) > 1
     f_p = None if multi else _reference(lambda: pearcey_gap(
-        PearceyParams(tau=taus_p[0], endpoints=(a_p, b_p)),
-        m0=max(60, m0), tol=tol).real)
+        PearceyParams(tau=taus_p[0], endpoints=(a_p, b_p)), tol=tol).real)
 
     def worker(row):
         sigma = row["sigma"]
@@ -442,7 +443,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--endpoints", type=float, nargs="*", default=[-1.0, 1.0],
                    help="sorted gap endpoints, an even count")
-    _common(p, 60)
+    _common(p, 20)
 
     p = subs.add_parser("tacnode", help="one tacnode gap probability")
     p.add_argument("--sigma", type=float, required=True)
@@ -460,7 +461,7 @@ def build_parser():
     p.add_argument("--lo", type=float, default=-3.0)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--n", type=_count, default=5, help="grid points per axis")
-    _common(p, 60)
+    _common(p, 20)
 
     p = subs.add_parser("scan-tacnode-pearcey",
                         help="tacnode gaps against a Pearcey gap")

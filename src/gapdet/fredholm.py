@@ -110,8 +110,8 @@ def assemble(kernel, rule):
     """Identity-minus-weighted-kernel matrix of ``kernel`` on its own
     components for one quadrature rule.
 
-    The matrix is real unless a mapped point or a column weight is complex,
-    and a complex block on a real matrix raises :class:`TypeError`.  Kernel
+    The matrix is real unless a column weight is complex, and a complex
+    block on a real matrix raises :class:`TypeError`.  Kernel
     evaluation failures are re-raised as :class:`KernelEvaluationError`
     with the offending block and, when it can be localized by a scalar
     re-scan, the node coordinates.
@@ -126,7 +126,7 @@ def assemble(kernel, rule):
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = int(offs[-1])
     # -K W is written in place, block by block, and I added last
-    out = np.empty((n, n), dtype=np.result_type(float, *pts, *colw))
+    out = np.empty((n, n), dtype=np.result_type(float, *colw))
     for i in range(len(pts)):
         for j in range(len(pts)):
             try:

@@ -1,8 +1,8 @@
 """High-level gap probabilities and generating functions.
 
 Three families are exposed: the Tracy-Widom distribution (Airy kernel on a
-ray), the Pearcey gap probability (contour kernel over two hyperbolas and
-the imaginary axis), and the tacnode gap probability.  The tacnode value
+ray), the Pearcey gap probability (the integrable Pearcey kernel on the gap
+intervals), and the tacnode gap probability.  The tacnode value
 is computed by two independent routes: the determinant ratio of the
 coupled block kernel against an Airy denominator, and the formal extended
 kernel conditioned on an empty edge.  Agreement of the two routes is the
@@ -106,17 +106,17 @@ def airy_gap(intervals, m0=40, tol=1e-8):
     return res
 
 
-def pearcey_gap(params, m0=60, tol=1e-8, imag_variant="tan"):
+def pearcey_gap(params, m0=20, tol=1e-8):
     """Pearcey gap probability over the union encoded by ``params``.
 
-    Each rung's :class:`gapdet.kernels.PearceyKernel` eliminates both
-    hyperbolas on the rung's rule, leaving the imaginary axis; ``m_used``
-    counts nodes on all three contours.  tau in [0, 8] is the documented
-    stable window; outside it the kernel's own overflow guard fires.  With
-    no endpoints the axis-to-contour coupling vanishes and the value is 1.
+    Each rung assembles :class:`gapdet.kernels.PearceyKernel` on the gap
+    intervals, whose contour rules refine with the rung's interval rule;
+    ``m_used`` has one entry per gap interval.  tau in [0, 8] is the
+    documented window; outside it the kernel's own overflow guard fires.
+    With no endpoints there is no interval, and the value is exactly 1.
     """
-    res = ladder(lambda m: det_at(PearceyKernel(params, m, imag_variant), m),
-                 m0, tol, 3)
+    res = ladder(lambda m: det_at(PearceyKernel(params, m), m), m0, tol,
+                 len(params.endpoints) // 2)
     _check_probability(res, "pearcey gap (tau=%g)" % params.tau)
     return res
 

@@ -3,8 +3,8 @@
 Three families live here:
 
 * the Airy kernel and its Fredholm restriction blocks;
-* the Pearcey kernel on the imaginary axis, with its two hyperbola branches
-  eliminated on the same rule;
+* the Pearcey kernel on the gap intervals, in its integrable form, from
+  tables of contour integrals on fixed rays;
 * the tacnode blocks: the coupled block kernel whose determinant ratio gives
   the tacnode gap probability, and the direct tacnode kernel, the formal
   extended kernel laid out over an Airy edge and the gaps, whose gap block's
@@ -26,8 +26,8 @@ from .ddmath import (DD_CBRT2, dd_add, dd_add_f, dd_airy_ai, dd_airy_shifted,
                      dd_heat_kernel, dd_mul, dd_neg, dd_sub)
 from .errors import DomainError, SingularRestrictionError
 from .fredholm import BlockKernel, inverse_rcond
-from .quadrature import (DomainComponent, edge_components, gauss_legendre,
-                         map_ray)
+from .quadrature import (_MAX_NODES, DomainComponent, edge_components,
+                         gauss_legendre, map_ray)
 from .specfun import _airy_eval, airy_shifted, heat_kernel, pearcey_phase
 
 __all__ = [
@@ -45,6 +45,7 @@ _CBRT2 = DD_CBRT2[0]
 _DIAG_SWITCH = 1e-6
 _EXP_GUARD = 700.0
 _MIN_INNER = 20
+_RAY_LENGTH = 6.0       # of every Pearcey contour ray
 
 
 # ---------------------------------------------------------------------------
@@ -115,75 +116,83 @@ class PearceyParams:
                            _finite_increasing("endpoints", eps))
 
 
-def _exp_outer(rows, cols):
-    """Row and column factors of exp(rows[:, None] + cols[None, :]).
-
-    Their outer product costs 2m exponentials in place of m^2.  The row
-    factor is shifted down by its largest real part, so neither factor
-    overflows when the largest summed exponent passes the guard.
-    """
-    top = np.max(rows.real)
-    peak = top + np.max(cols.real)
-    if peak > _EXP_GUARD:
-        raise OverflowError("pearcey kernel exponent %.3g too large"
-                            % float(peak))
-    with np.errstate(under="ignore"):
-        return np.exp(rows - top), np.exp(cols + top)
-
-
-def _cauchy(lam, mu):
-    return 1.0 / (2j * np.pi * (lam[:, None] - mu[None, :]))
-
-
-def _branch_to_axis(lam, mu, params):
-    """Pearcey kernel from points lam on a hyperbola branch (rows) to
-    points mu on the imaginary axis (columns), both complex arrays."""
-    # every exponent is a row term plus a column term
-    r, c = _exp_outer(0.5 * pearcey_phase(lam, params.tau),
-                      -0.5 * pearcey_phase(mu, params.tau))
-    with np.errstate(under="ignore"):
-        return np.outer(r, c) * _cauchy(lam, mu)
-
-
-def _axis_to_branch(lam, mu, params):
-    """Pearcey kernel from the imaginary axis (rows) to a hyperbola branch
-    (columns)."""
-    half_l = 0.5 * pearcey_phase(lam, params.tau)
-    half_m = 0.5 * pearcey_phase(mu, params.tau)
-    cauchy = _cauchy(lam, mu)
-    acc = np.zeros_like(cauchy)
-    for k, a in enumerate(params.endpoints):
-        r, c = _exp_outer(-half_l + a * lam, half_m - a * mu)
-        sign = -1.0 if (k + 1) % 2 else 1.0
-        with np.errstate(under="ignore"):
-            acc += sign * np.outer(r, c)
-    return -acc * cauchy
-
-
 class PearceyKernel(BlockKernel):
-    """Pearcey kernel on the imaginary axis with both hyperbola branches
-    eliminated on the m-point rule.
+    """Pearcey kernel on the gap intervals, one finite component each, in
+    the integrable form of Tracy and Widom ("The Pearcey process", Comm.
+    Math. Phys. 263 (2006)), assembled in real arithmetic.
 
-    A branch couples only to the axis, so on (left branch, axis, right
-    branch) the axis block's Schur complement of I - K W is I - K_b W on
-    the axis, with K_b = sum over the branches of K(axis, branch) W K(branch,
-    axis): the three-contour determinant at a third of the order.
+    Off the diagonal K(x, y) = (p2 q0 + p1 q1 + p0 q2 - tau p0 q0) / (x - y),
+    with p_k at x and q_k at y; on it K(x, x) = p3 q0 + p2 q1 + p1 q2 -
+    tau p1 q0, where p3 = tau p1 - x p0 by the Pearcey equation.  Here
+
+        p_k(x) = (2 pi i)^-1 int lam^k exp(theta(lam) + lam x) dlam,
+        q_k(y) = (2 pi i)^-1 int mu^k exp(-theta(mu) - mu y) dmu,
+
+    theta = :func:`gapdet.specfun.pearcey_phase`, lam runs over four rays
+    (in along arg pi/4 and -3pi/4, out along -pi/4 and 3pi/4) and mu up the
+    imaginary axis.  On real points conjugate rays pair up, so p_k is 2 Re
+    of the rays in along e^(i pi/4) and out along e^(3i pi/4), and q_k is
+    2 Re of the upper half-axis.  Each ray carries a Gauss-Legendre rule on
+    [0, 6], where exp(-r^4/4) is below 1e-140, with 4m nodes, capped at
+    :func:`gapdet.quadrature.gauss_legendre`'s 512: the count grows with the
+    rung, so the ladder's Cauchy difference covers the contour rule as well
+    as the interval rule.  The p_k and q_k tables are built once per set of
+    points; a table exponent past 700 raises :class:`OverflowError`, which
+    :func:`gapdet.fredholm.assemble` reports with the block and the node.
     """
 
-    def __init__(self, params, m, imag_variant="tan"):
-        super().__init__([DomainComponent.contour_imag(variant=imag_variant)])
+    def __init__(self, params, m):
+        eps = params.endpoints
+        super().__init__([DomainComponent.finite(eps[k], eps[k + 1])
+                          for k in range(0, len(eps), 2)])
         self.params = params
-        rule = gauss_legendre(m)
-        self._branches = []
-        for dom in (DomainComponent.contour_left(),
-                    DomainComponent.contour_right()):
-            pts, dp = dom.map_points(rule.nodes)
-            self._branches.append((pts, rule.weights * dp))
+        rule = gauss_legendre(min(4 * m, _MAX_NODES))
+        r = _RAY_LENGTH * rule.nodes
+        w = _RAY_LENGTH * rule.weights / np.pi
+        # in along e^(i pi/4), from infinity to 0, and out along e^(3i pi/4)
+        d_in, d_out = np.exp([0.25j * np.pi, 0.75j * np.pi])
+        lam = np.concatenate([d_in * r, d_out * r])
+        self._lam = (lam, np.concatenate([-d_in * w, d_out * w]) / 1j,
+                     pearcey_phase(lam, params.tau))
+        mu = 1j * r
+        self._mu = (mu, w, -pearcey_phase(mu, params.tau))
+        self._tables = {}
+
+    def _p(self, x):
+        lam, coef, theta = self._lam
+        return _memo(self._tables, ("p", x.tobytes()), lambda: _power_table(
+            lam, coef, theta[:, None] + lam[:, None] * x[None, :]))
+
+    def _q(self, y):
+        mu, coef, theta = self._mu
+        return _memo(self._tables, ("q", y.tobytes()), lambda: _power_table(
+            mu, coef, theta[:, None] - mu[:, None] * y[None, :]))
 
     def entry(self, i, j, x, y):
-        return sum((_axis_to_branch(x, pts, self.params) * w[None, :])
-                   @ _branch_to_axis(pts, y, self.params)
-                   for pts, w in self._branches)
+        p0, p1, p2 = self._p(x)
+        q0, q1, q2 = self._q(y)
+        tau = self.params.tau
+        diff = x[:, None] - y[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.outer(p2 - tau * p0, q0) + np.outer(p1, q1)
+                   + np.outer(p0, q2)) / diff
+        r, c = np.nonzero(diff == 0.0)
+        p3 = tau * p1[r] - x[r] * p0[r]
+        out[r, c] = p3 * q0[c] + p2[r] * q1[c] + p1[r] * q2[c] \
+            - tau * p1[r] * q0[c]
+        return out
+
+
+def _power_table(nodes, coef, expo):
+    """Rows Re sum_n coef_n nodes_n^k exp(expo[n, :]) for k = 0, 1, 2;
+    an exponent whose real part passes the guard raises OverflowError."""
+    peak = float(np.max(expo.real))
+    if peak > _EXP_GUARD:
+        raise OverflowError("pearcey kernel exponent %.3g too large" % peak)
+    with np.errstate(under="ignore"):
+        table = np.exp(expo)
+    return (np.stack([coef, coef * nodes, coef * nodes * nodes])
+            @ table).real
 
 
 # ---------------------------------------------------------------------------

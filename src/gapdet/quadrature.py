@@ -1,14 +1,13 @@
 """Gauss-Legendre rules on (0,1) and smooth maps onto integration domains.
 
-Every integration domain used by the determinant engine is parametrized over
-the open unit interval: finite intervals affinely, semi-infinite rays through
-t/(1-t), the imaginary axis through a tangent map, and the two hyperbola
-branches of the quartic-phase contour through closed-form maps.  A domain is
-a :class:`DomainComponent`; a Fredholm discretization lives on an ordered
+Every integration domain used by the determinant engine is real and
+parametrized over the open unit interval: finite intervals affinely and
+semi-infinite rays through t/(1-t).  A domain is a
+:class:`DomainComponent`; a Fredholm discretization lives on an ordered
 list of them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,9 +18,6 @@ __all__ = [
     "QuadratureRule",
     "DomainComponent",
     "gauss_legendre",
-    "map_contour_right",
-    "map_contour_left",
-    "map_contour_imag",
     "map_ray",
     "edge_components",
 ]
@@ -100,59 +96,13 @@ def gauss_legendre(m):
     return QuadratureRule(m=m, nodes=nodes, weights=weights)
 
 
-def _check_open_unit(s):
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or np.any(s >= 1.0):
-        raise DomainError("map parameter must lie strictly inside (0,1)")
-    return s
-
-
-def map_contour_right(s):
-    """Right hyperbola branch: comes in along arg pi/4, exits along -pi/4.
-
-    Returns (point, derivative) of the parametrization at s in (0,1).
-    """
-    s = _check_open_unit(s)
-    a = s / (1.0 - s)
-    b = (1.0 - s) / s
-    da = 1.0 / (1.0 - s) ** 2
-    db = -1.0 / s ** 2
-    point = 0.5 * (a + b) - 0.5j * (a - b)
-    deriv = 0.5 * (da + db) - 0.5j * (da - db)
-    return point, deriv
-
-
-def map_contour_left(s):
-    """Left hyperbola branch, the pointwise negation of the right one."""
-    point, deriv = map_contour_right(s)
-    return -point, -deriv
-
-
-def map_contour_imag(s, variant="tan"):
-    """Imaginary axis swept from -i*inf to +i*inf.
-
-    ``variant="tan"`` is the production map i*tan(pi*(s-1/2)); the
-    ``"rational"`` alternative i*(2s-1)/(s(1-s)) exists to cross-check that
-    determinants do not depend on the axis parametrization.
-    """
-    s = _check_open_unit(s)
-    if variant == "tan":
-        c = np.cos(np.pi * (s - 0.5))
-        point = 1j * np.tan(np.pi * (s - 0.5))
-        deriv = 1j * np.pi / (c * c)
-    elif variant == "rational":
-        point = 1j * (2.0 * s - 1.0) / (s * (1.0 - s))
-        deriv = 1j * (2.0 * s * s - 2.0 * s + 1.0) / (s * (1.0 - s)) ** 2
-    else:
-        raise DomainError("unknown imaginary-axis map variant %r" % (variant,))
-    return point, deriv
-
-
 def map_ray(s, start):
     """Semi-infinite ray [start, inf) via start + _RAY_SCALE*s/(1-s)."""
     if not np.isfinite(start):
         raise DomainError("ray start must be finite")
-    s = _check_open_unit(s)
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0) or np.any(s >= 1.0):
+        raise DomainError("map parameter must lie strictly inside (0,1)")
     point = start + _RAY_SCALE * s / (1.0 - s)
     deriv = _RAY_SCALE / (1.0 - s) ** 2
     return point, deriv
@@ -162,15 +112,13 @@ def map_ray(s, start):
 class DomainComponent:
     """One integration domain with its map onto (0,1).
 
-    ``kind`` is one of ``finite``, ``ray``, ``contour_right``,
-    ``contour_left``, ``contour_imag``.  ``map_points(t)`` returns the mapped
+    ``kind`` is ``finite`` or ``ray``.  ``map_points(t)`` returns the mapped
     nodes and the map derivative at t.
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
-    variant: str = "tan"
     label: str = ""
 
     @staticmethod
@@ -189,22 +137,6 @@ class DomainComponent:
         return DomainComponent(kind="ray", a=float(start),
                                label=label or "[%g,inf)" % start)
 
-    @staticmethod
-    def contour_right(label="gamma_R"):
-        return DomainComponent(kind="contour_right", label=label)
-
-    @staticmethod
-    def contour_left(label="gamma_L"):
-        return DomainComponent(kind="contour_left", label=label)
-
-    @staticmethod
-    def contour_imag(variant="tan", label="i-axis"):
-        if variant not in ("tan", "rational"):
-            raise DomainError("unknown imaginary-axis map variant %r"
-                              % (variant,))
-        return DomainComponent(kind="contour_imag", variant=variant,
-                               label=label)
-
     def map_points(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "finite":
@@ -212,12 +144,6 @@ class DomainComponent:
                 np.full_like(t, self.b - self.a)
         if self.kind == "ray":
             return map_ray(t, self.a)
-        if self.kind == "contour_right":
-            return map_contour_right(t)
-        if self.kind == "contour_left":
-            return map_contour_left(t)
-        if self.kind == "contour_imag":
-            return map_contour_imag(t, self.variant)
         raise DomainError("unknown domain kind %r" % (self.kind,))
 
 

@@ -19,8 +19,6 @@ from gapdet.kernels import (
     TacnodeDirectKernel,
     TacnodeHKernel,
     TacnodeParams,
-    _axis_to_branch,
-    _branch_to_axis,
     airy_kernel_matrix,
     coupling_matrix,
     ext_airy_matrix,
@@ -29,7 +27,8 @@ from gapdet.kernels import (
     tail_cutoff,
 )
 from gapdet.quadrature import DomainComponent, gauss_legendre, map_ray
-from gapdet.specfun import airy_ai, airy_ai_prime, airy_shifted, heat_kernel
+from gapdet.specfun import (airy_ai, airy_ai_prime, airy_shifted, heat_kernel,
+                            pearcey_phase)
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -85,75 +84,100 @@ def test_airy_kernel_factorization():
 # ---------------------------------------------------------------------------
 # Pearcey kernel
 
-def test_pearcey_contour_to_axis_formula():
-    from gapdet.specfun import pearcey_phase
+def pearcey_integrals(x, tau, n=400, length=7.0):
+    """p_k(x) and q_k(x), k = 0..3, by complex quadrature over all four lam
+    rays and the whole imaginary axis, with no conjugate pairing."""
+    rule = gauss_legendre(n)
+    r, w = length * rule.nodes, length * rule.weights
+    p = np.zeros(4, dtype=complex)
+    # in along pi/4 and -3pi/4, out along -pi/4 and 3pi/4
+    for angle, sign in ((0.25, -1.0), (-0.75, -1.0), (-0.25, 1.0),
+                        (0.75, 1.0)):
+        d = np.exp(1j * np.pi * angle)
+        lam = d * r
+        f = sign * d * w * np.exp(pearcey_phase(lam, tau) + lam * x)
+        p += [np.sum(f * lam ** k) for k in range(4)]
+    mu = 1j * length * (2.0 * rule.nodes - 1.0)
+    f = 2j * length * rule.weights * np.exp(-pearcey_phase(mu, tau) - mu * x)
+    q = np.array([np.sum(f * mu ** k) for k in range(4)])
+    return p / (2j * np.pi), q / (2j * np.pi)
 
-    par = PearceyParams(0.0, (-1.0, 1.0))
-    mu = 1.0j
-    for lam in (1.0 + 0.0j, -1.0 + 0.0j):       # vertex of each branch
-        got = _branch_to_axis(np.array([lam]), np.array([mu]), par)[0, 0]
-        want = np.exp(0.5 * (pearcey_phase(lam, 0.0)
-                             - pearcey_phase(mu, 0.0))) \
-            / (2j * np.pi * (lam - mu))
-        assert_allclose(got, complex(want), rtol=1e-14)
+
+def test_pearcey_kernel_matches_its_integrals():
+    # off the diagonal the integrable form, on it the p3 form, with p_k and
+    # q_k from full contours: the kernel's conjugate halving and its rays
+    # on [0, 6] lose nothing
+    par = PearceyParams(2.0, (-1.5, -0.5, 0.25, 1.0))
+    ker = PearceyKernel(par, 20)
+    assert [(c.kind, c.a, c.b) for c in ker.domains] == \
+        [("finite", -1.5, -0.5), ("finite", 0.25, 1.0)]
+    xs = np.array([-1.2, -0.7])
+    ys = np.array([0.3, 0.8])
+    got = ker.entry(0, 1, xs, ys)
+    for r, x in enumerate(xs):
+        p, _ = pearcey_integrals(x, par.tau)
+        assert np.max(np.abs(p.imag)) <= 1e-14
+        for c, y in enumerate(ys):
+            _, q = pearcey_integrals(y, par.tau)
+            assert np.max(np.abs(q.imag)) <= 1e-14
+            want = (p[2] * q[0] + p[1] * q[1] + p[0] * q[2]
+                    - par.tau * p[0] * q[0]) / (x - y)
+            assert_allclose(got[r, c], want.real, rtol=1e-12)
+    diag = np.diag(ker.entry(1, 1, ys, ys))
+    for c, y in enumerate(ys):
+        p, q = pearcey_integrals(y, par.tau)
+        want = p[3] * q[0] + p[2] * q[1] + p[1] * q[2] \
+            - par.tau * p[1] * q[0]
+        assert_allclose(diag[c], want.real, rtol=1e-12)
 
 
-def test_pearcey_axis_to_contour_formula():
-    from gapdet.specfun import pearcey_phase
+@pytest.mark.parametrize("tau", [0.0, 3.0, 8.0])
+def test_pearcey_p3_obeys_the_pearcey_equation(tau):
+    # p3 = tau p1 - x p0, the identity the kernel's diagonal reads; the
+    # quadrature's rounding is absolute, on integrands of order one
+    for x in (-2.0, 0.4, 3.0):
+        p, _ = pearcey_integrals(x, tau)
+        scale = max(1.0, np.max(np.abs(p.real)))
+        assert_allclose(p[3].real, tau * p[1].real - x * p[0].real,
+                        rtol=0, atol=1e-14 * scale)
 
-    par = PearceyParams(0.0, (-1.0, 1.0))
-    lam = 1.0j
-    for mu in (1.0 + 0.0j, -1.0 + 0.0j):        # vertex of each branch
-        got = _axis_to_branch(np.array([lam]), np.array([mu]), par)[0, 0]
-        acc = 0.0
-        for k, a in enumerate(par.endpoints):
-            sign = -1.0 if (k + 1) % 2 else 1.0
-            acc += sign * np.exp(
-                -0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))
-                + a * (lam - mu))
-        want = -acc / (2j * np.pi * (lam - mu))
-        assert_allclose(got, complex(want), rtol=1e-14)
+
+@pytest.mark.parametrize("tau", [0.0, 2.0, 5.0])
+def test_pearcey_diagonal_is_the_limit_off_it(tau):
+    # the numerator vanishes at x = y, and the symmetric difference quotient
+    # of the off-diagonal form converges to the diagonal one as O(h^2)
+    ker = PearceyKernel(PearceyParams(tau, (-1.0, 1.0)), 20)
+    h = 1e-4
+    for x in (-0.8, 0.1, 0.7):
+        row = ker.entry(0, 0, np.array([x]), np.array([x, x - h, x + h]))[0]
+        assert_allclose(row[0], 0.5 * (row[1] + row[2]), rtol=0, atol=1e-8)
 
 
 def test_pearcey_exponent_guard():
-    """The guard is on the summed exponent: a row term past exp's range
-    still gives a finite entry when the column term brings the sum back,
-    and a sum past the guard raises."""
-    from gapdet.specfun import pearcey_phase
-
-    par = PearceyParams(0.0, (-1.0, 1.0))
-    lam, mu = 9.0 + 0.0j, 8.0j      # exponents 820 and -512
-    got = _branch_to_axis(np.array([lam]), np.array([mu]), par)[0, 0]
-    want = np.exp(0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))) \
-        / (2j * np.pi * (lam - mu))
-    assert np.isfinite(got)
-    # exponents near 800 carry about 2e-13 of relative rounding
-    assert_allclose(got, complex(want), rtol=1e-12)
-    with pytest.raises(OverflowError):
-        # exponent 1250
-        _branch_to_axis(np.array([10.0 + 0.0j]), np.array([0.0j]), par)
+    """The guard reads the largest real part of a table's exponents,
+    theta(lam) + lam x on the rays: about 553 at x = 200 passes, and about
+    948 at x = 300 raises."""
+    ker = PearceyKernel(PearceyParams(0.0, (-1.0, 1.0)), 20)
+    assert np.isfinite(ker.entry(0, 0, np.array([200.0]), np.array([0.0])))
+    with pytest.raises(OverflowError, match="exponent 9"):
+        ker.entry(0, 0, np.array([300.0]), np.array([0.0]))
 
 
 @pytest.mark.parametrize("tau", [0.0, 2.0, 4.0, 6.0])
 def test_pearcey_entries_bounded_on_default_grid(tau):
     par = PearceyParams(tau, (-1.0, 1.0))
-    rule = gauss_legendre(60)
-    axis = DomainComponent.contour_imag().map_points(rule.nodes)[0]
-    for branch in (DomainComponent.contour_left(),
-                   DomainComponent.contour_right()):
-        pts = branch.map_points(rule.nodes)[0]
-        assert np.max(np.abs(_branch_to_axis(pts, axis, par))) <= 1.0
-        assert np.max(np.abs(_axis_to_branch(axis, pts, par))) <= 1.0
+    ker = PearceyKernel(par, 60)
+    x = ker.domains[0].map_points(gauss_legendre(60).nodes)[0]
+    assert np.max(np.abs(ker.entry(0, 0, x, x))) <= 1.0
 
 
-def test_pearcey_overflow_is_located_on_the_axis():
-    # both branches are eliminated inside the kernel, so a coupling
-    # block's overflow surfaces in the one axis block
-    ker = PearceyKernel(PearceyParams(2.0, (-400.0, 400.0)), 20)
+def test_pearcey_overflow_is_located_on_its_interval():
+    # the rows of the far interval overflow, and only there
+    ker = PearceyKernel(PearceyParams(2.0, (-1.0, 1.0, 300.0, 301.0)), 20)
     with pytest.raises(KernelEvaluationError, match="exponent") as info:
         assemble(ker, gauss_legendre(20))
-    assert (info.value.block_row, info.value.block_col) == (0, 0)
-    assert info.value.x.real == 0.0 and info.value.y.real == 0.0
+    assert (info.value.block_row, info.value.block_col) == (1, 0)
+    assert 300.0 < info.value.x < 301.0 and -1.0 < info.value.y < 1.0
 
 
 def test_pearcey_params_validation():

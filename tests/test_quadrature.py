@@ -9,9 +9,6 @@ from gapdet.quadrature import (
     DomainComponent,
     edge_components,
     gauss_legendre,
-    map_contour_imag,
-    map_contour_left,
-    map_contour_right,
     map_ray,
 )
 
@@ -77,10 +74,6 @@ def test_rules_are_cached_and_frozen():
 # Parameter maps
 
 MAPS = [
-    ("right", map_contour_right),
-    ("left", map_contour_left),
-    ("imag-tan", lambda s: map_contour_imag(s, "tan")),
-    ("imag-rational", lambda s: map_contour_imag(s, "rational")),
     ("ray", lambda s: map_ray(s, -2.0)),
 ]
 
@@ -92,46 +85,6 @@ def test_map_derivative_matches_central_differences(name, fn):
     _, deriv = fn(s)
     quot = (fn(s + h)[0] - fn(s - h)[0]) / (2.0 * h)
     assert np.max(np.abs(quot - deriv) / np.abs(deriv)) < 1e-6, name
-
-
-def test_contour_right_geometry():
-    pt, _ = map_contour_right(np.array([0.5]))
-    assert pt[0] == 1.0 + 0.0j
-    s = np.linspace(1e-6, 1.0 - 1e-6, 10001)
-    pt, _ = map_contour_right(s)
-    # the branch lives right of Re = 1 and is symmetric under conjugation
-    assert np.min(pt.real) >= 1.0 - 1e-12
-    assert_allclose(pt, np.conj(pt[::-1]), rtol=1e-8)
-    # asymptotic directions +-pi/4
-    assert abs(np.angle(pt[0]) - np.pi / 4) < 1e-3
-    assert abs(np.angle(pt[-1]) + np.pi / 4) < 1e-3
-
-
-def test_contour_left_is_negated_right():
-    s = np.linspace(0.1, 0.9, 7)
-    pr, dr = map_contour_right(s)
-    pl, dl = map_contour_left(s)
-    assert_allclose(pl, -pr, rtol=0, atol=0)
-    assert_allclose(dl, -dr, rtol=0, atol=0)
-    assert np.max(pl.real) <= -1.0 + 1e-12
-
-
-@pytest.mark.parametrize("variant", ["tan", "rational"])
-def test_imag_axis_map_properties(variant):
-    s = np.linspace(0.05, 0.95, 19)
-    pt, _ = map_contour_imag(s, variant)
-    assert np.all(pt.real == 0.0)
-    # odd around s = 1/2
-    rev, _ = map_contour_imag(1.0 - s, variant)
-    assert_allclose(rev, -pt, rtol=0, atol=1e-9)
-    mid, _ = map_contour_imag(np.array([0.5]), variant)
-    assert abs(mid[0]) < 1e-15
-    assert np.all(np.diff(pt.imag) > 0.0)
-
-
-def test_imag_axis_unknown_variant():
-    with pytest.raises(DomainError):
-        map_contour_imag(np.array([0.5]), "spline")
 
 
 def test_ray_map_values_and_guards():
@@ -176,11 +129,6 @@ def test_ray_component():
     assert ray.kind == "ray"
     with pytest.raises(DomainError):
         DomainComponent.ray(np.inf)
-
-
-def test_contour_component_flags():
-    with pytest.raises(DomainError):
-        DomainComponent.contour_imag(variant="spline")
 
 
 def test_edge_components_split_at_origin():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from gapdet import ddmath
 from gapdet.errors import DomainError
-from gapdet.quadrature import gauss_legendre, map_contour_right
+from gapdet.quadrature import gauss_legendre
 from gapdet.specfun import (
     AIRY_WINDOW_MIN,
     _airy_eval,
@@ -171,10 +171,15 @@ def test_shifted_unwinds_to_definition():
 
 def test_shifted_against_contour_integral():
     # independent route: 2^(1/6)/(2 pi i) times the contour integral of
-    # exp(z^3/3 + tau z^2 - z x) over the right hyperbola; the map runs
-    # downward, the convention runs upward, hence the sign flip
+    # exp(z^3/3 + tau z^2 - z x) over the right hyperbola, mapped from
+    # (0, 1) as z = (a + 1/a)/2 - i (a - 1/a)/2 with a = s/(1-s); the map
+    # runs downward, the convention runs upward, hence the sign flip
     rule = gauss_legendre(200)
-    z, dz = map_contour_right(rule.nodes)
+    s = rule.nodes
+    a, da = s / (1.0 - s), 1.0 / (1.0 - s) ** 2
+    b, db = 1.0 / a, -1.0 / s ** 2
+    z = 0.5 * (a + b) - 0.5j * (a - b)
+    dz = 0.5 * (da + db) - 0.5j * (da - db)
     for tau, x in ((0.5, 2.0), (-0.8, 1.0), (0.0, 1.3)):
         f = np.exp(z ** 3 / 3.0 + tau * z * z - z * x)
         val = -np.sum(rule.weights * dz * f) / (2j * np.pi) * TWO_SIXTH

@@ -33,8 +33,10 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 #: CLI calls hashed after the cli-scan grid: the default positivity probe;
 #: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
 #: m_used, route) of a float64 ratio row, a direct row and a dd row; scans
-#: whose reference value fails, so their error rows are covered too; and an
-#: F2 table running into the left tail, where values lose every digit.
+#: whose reference value fails, so their error rows are covered too; an F2
+#: table running into the left tail, where values lose every digit; and
+#: Pearcey rows at tau = 6, with its diagnostics, and at tau = 9, past the
+#: documented window [0, 8].
 EXTRA_CALLS = [
     ["positivity-probe"],
     ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
@@ -47,6 +49,8 @@ EXTRA_CALLS = [
     ["scan-tacnode-airy", "--one-sided", "--a", "1", "--b", "0", "--n", "2"],
     ["scan-tacnode-pearcey", "--sigmas", "-3", "--a-p", "1", "--b-p", "-1"],
     ["tw", "--s-min", "-10", "--s-max", "-8", "--steps", "8", "--json"],
+    ["pearcey", "--tau", "6", "--json"],
+    ["pearcey", "--tau", "9"],
 ]
 
 
