@@ -2,9 +2,9 @@
 
 Pinned determinant values were cross-checked at higher node counts and,
 for the tacnode family, against the independent direct-kernel route; the
-Pearcey values are checked against the three-contour route, kept here as a
-test kernel.  The first Tracy-Widom digits agree with commonly tabulated
-values.
+Pearcey values are checked against the three-contour route, kept in
+pearcey_contours as a test kernel.  The first Tracy-Widom digits agree
+with commonly tabulated values.
 """
 
 import math
@@ -26,7 +26,7 @@ from gapdet.kernels import (AiryKernel, ConditionedKernel,
                             FormalTacnodeKernel, GapSpec, PearceyParams,
                             TacnodeParams)
 from gapdet.quadrature import DomainComponent, gauss_legendre
-from gapdet.specfun import pearcey_phase
+from pearcey_contours import ContourPearcey
 
 
 def det_result(value):
@@ -177,127 +177,6 @@ def test_pearcey_reflection_symmetry():
     assert_allclose(a, 0.9627730647697068, rtol=0, atol=5e-13)
 
 
-# The three-contour route that pearcey_gap took before it moved to the real
-# line, kept as its judge: the Pearcey kernel from the imaginary axis to two
-# hyperbola branches and back, with the branches' couplings assembled in
-# full on one rule per contour.
-
-_EXP_GUARD = 700.0
-
-
-def _exp_outer(rows, cols):
-    """Row and column factors of exp(rows[:, None] + cols[None, :]).
-
-    Their outer product costs 2m exponentials in place of m^2.  The row
-    factor is shifted down by its largest real part, so neither factor
-    overflows when the largest summed exponent passes the guard.
-    """
-    top = np.max(rows.real)
-    peak = top + np.max(cols.real)
-    if peak > _EXP_GUARD:
-        raise OverflowError("pearcey kernel exponent %.3g too large"
-                            % float(peak))
-    with np.errstate(under="ignore"):
-        return np.exp(rows - top), np.exp(cols + top)
-
-
-def _cauchy(lam, mu):
-    return 1.0 / (2j * np.pi * (lam[:, None] - mu[None, :]))
-
-
-def _branch_to_axis(lam, mu, params):
-    """Pearcey kernel from points lam on a hyperbola branch (rows) to
-    points mu on the imaginary axis (columns), both complex arrays."""
-    # every exponent is a row term plus a column term
-    r, c = _exp_outer(0.5 * pearcey_phase(lam, params.tau),
-                      -0.5 * pearcey_phase(mu, params.tau))
-    with np.errstate(under="ignore"):
-        return np.outer(r, c) * _cauchy(lam, mu)
-
-
-def _axis_to_branch(lam, mu, params):
-    """Pearcey kernel from the imaginary axis (rows) to a hyperbola branch
-    (columns)."""
-    half_l = 0.5 * pearcey_phase(lam, params.tau)
-    half_m = 0.5 * pearcey_phase(mu, params.tau)
-    cauchy = _cauchy(lam, mu)
-    acc = np.zeros_like(cauchy)
-    for k, a in enumerate(params.endpoints):
-        r, c = _exp_outer(-half_l + a * lam, half_m - a * mu)
-        sign = -1.0 if (k + 1) % 2 else 1.0
-        with np.errstate(under="ignore"):
-            acc += sign * np.outer(r, c)
-    return -acc * cauchy
-
-
-def map_contour_right(s):
-    """Right hyperbola branch: comes in along arg pi/4, exits along -pi/4;
-    (point, derivative) at s in (0, 1)."""
-    a = s / (1.0 - s)
-    b = (1.0 - s) / s
-    da = 1.0 / (1.0 - s) ** 2
-    db = -1.0 / s ** 2
-    return 0.5 * (a + b) - 0.5j * (a - b), 0.5 * (da + db) - 0.5j * (da - db)
-
-
-def map_contour_left(s):
-    """Left hyperbola branch, the pointwise negation of the right one."""
-    point, deriv = map_contour_right(s)
-    return -point, -deriv
-
-
-def map_contour_imag(s):
-    """Imaginary axis swept upwards as i tan(pi (s - 1/2))."""
-    c = np.cos(np.pi * (s - 0.5))
-    return 1j * np.tan(np.pi * (s - 0.5)), 1j * np.pi / (c * c)
-
-
-class _Contour:
-    """A component on a complex contour: ``map_points`` maps (0, 1) onto
-    it, which is all :func:`gapdet.fredholm.assemble` reads."""
-
-    def __init__(self, map_points):
-        self.map_points = map_points
-
-
-class _ContourPearcey(BlockKernel):
-    """The Pearcey kernel on (left branch, imaginary axis, right branch);
-    each branch couples only to the axis."""
-
-    def __init__(self, params):
-        super().__init__([_Contour(map_contour_left),
-                          _Contour(map_contour_imag),
-                          _Contour(map_contour_right)])
-        self.params = params
-
-    def entry(self, i, j, x, y):
-        if i == 1 and j != 1:
-            return _axis_to_branch(x, y, self.params)
-        if j == 1 and i != 1:
-            return _branch_to_axis(x, y, self.params)
-        return np.zeros((len(x), len(y)), dtype=complex)
-
-
-def test_contour_oracle_maps():
-    s = np.linspace(0.05, 0.95, 19)
-    h = 1e-7
-    for fn in (map_contour_right, map_contour_left, map_contour_imag):
-        quot = (fn(s + h)[0] - fn(s - h)[0]) / (2.0 * h)
-        assert np.max(np.abs(quot / fn(s)[1] - 1.0)) < 1e-6
-    # the branch lives right of Re = 1, symmetric under conjugation, with
-    # asymptotic directions +-pi/4; the axis is odd about s = 1/2
-    pt = map_contour_right(np.linspace(1e-6, 1.0 - 1e-6, 10001))[0]
-    assert np.min(pt.real) >= 1.0 - 1e-12
-    assert_allclose(pt, np.conj(pt[::-1]), rtol=1e-8)
-    assert abs(np.angle(pt[0]) - np.pi / 4) < 1e-3
-    assert abs(np.angle(pt[-1]) + np.pi / 4) < 1e-3
-    assert_allclose(map_contour_left(s)[0], -map_contour_right(s)[0],
-                    rtol=0, atol=0)
-    axis = map_contour_imag(s)[0]
-    assert np.all(axis.real == 0.0) and np.all(np.diff(axis.imag) > 0.0)
-    assert_allclose(map_contour_imag(1.0 - s)[0], -axis, rtol=0, atol=1e-9)
-
-
 @pytest.mark.parametrize("endpoints", [
     (-1.0, 1.0), (-2.0, 0.5), (-1.5, -0.5, 0.5, 1.0)],
     ids=["one", "one-skew", "two"])
@@ -305,7 +184,7 @@ def test_contour_oracle_maps():
 def test_pearcey_real_line_matches_contour_route(tau, endpoints):
     par = PearceyParams(tau, endpoints)
     line = pearcey_gap(par)
-    contour = fredholm_det(_ContourPearcey(par), m0=60)
+    contour = fredholm_det(ContourPearcey(par), m0=60)
     diff = abs(line.value - contour.value)
     assert diff <= 1e-12 * abs(line.value)
     assert diff <= line.err_estimate + contour.err_estimate

@@ -29,6 +29,7 @@ from gapdet.kernels import (
 from gapdet.quadrature import DomainComponent, gauss_legendre, map_ray
 from gapdet.specfun import (airy_ai, airy_ai_prime, airy_shifted, heat_kernel,
                             pearcey_phase)
+from pearcey_contours import axis_to_branch, branch_to_axis
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -151,6 +152,35 @@ def test_pearcey_diagonal_is_the_limit_off_it(tau):
     for x in (-0.8, 0.1, 0.7):
         row = ker.entry(0, 0, np.array([x]), np.array([x, x - h, x + h]))[0]
         assert_allclose(row[0], 0.5 * (row[1] + row[2]), rtol=0, atol=1e-8)
+
+
+# The contour oracle's couplings, against their closed forms at the vertex
+# of each hyperbola branch
+
+def test_pearcey_contour_to_axis_formula():
+    par = PearceyParams(0.0, (-1.0, 1.0))
+    mu = 1.0j
+    for lam in (1.0 + 0.0j, -1.0 + 0.0j):       # vertex of each branch
+        got = branch_to_axis(np.array([lam]), np.array([mu]), par)[0, 0]
+        want = np.exp(0.5 * (pearcey_phase(lam, 0.0)
+                             - pearcey_phase(mu, 0.0))) \
+            / (2j * np.pi * (lam - mu))
+        assert_allclose(got, complex(want), rtol=1e-14)
+
+
+def test_pearcey_axis_to_contour_formula():
+    par = PearceyParams(0.0, (-1.0, 1.0))
+    lam = 1.0j
+    for mu in (1.0 + 0.0j, -1.0 + 0.0j):        # vertex of each branch
+        got = axis_to_branch(np.array([lam]), np.array([mu]), par)[0, 0]
+        acc = 0.0
+        for k, a in enumerate(par.endpoints):
+            sign = -1.0 if (k + 1) % 2 else 1.0
+            acc += sign * np.exp(
+                -0.5 * (pearcey_phase(lam, 0.0) - pearcey_phase(mu, 0.0))
+                + a * (lam - mu))
+        want = -acc / (2j * np.pi * (lam - mu))
+        assert_allclose(got, complex(want), rtol=1e-14)
 
 
 def test_pearcey_exponent_guard():

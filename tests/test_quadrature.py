@@ -1,4 +1,8 @@
-"""Tests for Gauss-Legendre rules and the domain parameter maps."""
+"""Tests for Gauss-Legendre rules and the domain parameter maps.
+
+The hyperbola and imaginary-axis maps of the three-contour Pearcey oracle
+live in pearcey_contours; they are checked here with the package's maps.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from gapdet.quadrature import (
     gauss_legendre,
     map_ray,
 )
+from pearcey_contours import (map_contour_imag, map_contour_left,
+                              map_contour_right)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +80,9 @@ def test_rules_are_cached_and_frozen():
 # Parameter maps
 
 MAPS = [
+    ("right", map_contour_right),
+    ("left", map_contour_left),
+    ("imag-tan", lambda s: map_contour_imag(s)),
     ("ray", lambda s: map_ray(s, -2.0)),
 ]
 
@@ -85,6 +94,46 @@ def test_map_derivative_matches_central_differences(name, fn):
     _, deriv = fn(s)
     quot = (fn(s + h)[0] - fn(s - h)[0]) / (2.0 * h)
     assert np.max(np.abs(quot - deriv) / np.abs(deriv)) < 1e-6, name
+
+
+def test_contour_right_geometry():
+    pt, _ = map_contour_right(np.array([0.5]))
+    assert pt[0] == 1.0 + 0.0j
+    s = np.linspace(1e-6, 1.0 - 1e-6, 10001)
+    pt, _ = map_contour_right(s)
+    # the branch lives right of Re = 1 and is symmetric under conjugation
+    assert np.min(pt.real) >= 1.0 - 1e-12
+    assert_allclose(pt, np.conj(pt[::-1]), rtol=1e-8)
+    # asymptotic directions +-pi/4
+    assert abs(np.angle(pt[0]) - np.pi / 4) < 1e-3
+    assert abs(np.angle(pt[-1]) + np.pi / 4) < 1e-3
+
+
+def test_contour_left_is_negated_right():
+    s = np.linspace(0.1, 0.9, 7)
+    pr, dr = map_contour_right(s)
+    pl, dl = map_contour_left(s)
+    assert_allclose(pl, -pr, rtol=0, atol=0)
+    assert_allclose(dl, -dr, rtol=0, atol=0)
+    assert np.max(pl.real) <= -1.0 + 1e-12
+
+
+# the oracle keeps only the tan sweep of the imaginary axis
+IMAG_AXIS_MAPS = {"tan": map_contour_imag}
+
+
+@pytest.mark.parametrize("variant", ["tan"])
+def test_imag_axis_map_properties(variant):
+    imag_map = IMAG_AXIS_MAPS[variant]
+    s = np.linspace(0.05, 0.95, 19)
+    pt, _ = imag_map(s)
+    assert np.all(pt.real == 0.0)
+    # odd around s = 1/2
+    rev, _ = imag_map(1.0 - s)
+    assert_allclose(rev, -pt, rtol=0, atol=1e-9)
+    mid, _ = imag_map(np.array([0.5]))
+    assert abs(mid[0]) < 1e-15
+    assert np.all(np.diff(pt.imag) > 0.0)
 
 
 def test_ray_map_values_and_guards():
