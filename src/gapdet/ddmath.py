@@ -12,14 +12,17 @@ This module supplies those digits.  A value is a "double-double" pair
 (hi, lo) of float64 arrays with hi = fl(hi + lo) and |lo| <= ulp(hi)/2,
 carrying ~31 decimal digits.  All arithmetic is built from the classical
 error-free transforms (TwoSum, Dekker split / TwoProd) applied to numpy
-arrays, so matrix assembly is vectorized and the O(n^3) LU determinant of
-order n = 640 takes about 2.5 s on one core of an Intel Xeon server, where
-an arbitrary-precision library needs minutes to hours.  On top of the
+arrays, so matrix assembly is vectorized.  Matrix products are exact
+float64 GEMMs of split operands, summed in double-double.  On one core of
+an Intel Xeon server the LU determinant of order n = 320 takes about 0.2 s
+and the product of two such matrices about 0.04 s, where an
+arbitrary-precision library needs minutes to hours.  On top of the
 arithmetic sit the few special values the deep-gap path needs:
 Gauss-Legendre rules, the Airy function Ai, the shifted Airy function, the
-Gaussian transition factor, and an LU determinant.  The determinant it
-serves is the tacnode ratio det S, a number of order one, so it is returned
-as one double-double pair.
+Gaussian transition factor, a matrix product and an LU determinant.
+Together they serve the tacnode ratio det S: the product eliminates the
+ratio matrix's identity edge block, and the LU factors what is left.  det S
+is a number of order one, so it is returned as one double-double pair.
 
 Ai comes from a ladder of Taylor anchors spaced 0.25 apart,
 seeded at x = 16 from the exponential asymptotic expansion truncated near
@@ -54,6 +57,7 @@ __all__ = [
     "dd_airy_ai",
     "dd_airy_shifted",
     "dd_heat_kernel",
+    "dd_matmul",
     "dd_det",
     "DD_LN2",
     "DD_PI",
@@ -506,6 +510,103 @@ def dd_gauss_legendre(m):
     return t_nodes, w
 
 
+# ---------------------------------------------------------------- product
+
+def _slice_width(k):
+    """Largest beta with k * 2^(2 beta) <= 2^53: a slice entry is at most
+    2^beta units of its level, rounding included, so every partial sum of
+    a k-term dot product of two slices is an integer below 2^53 units."""
+    beta = 26
+    while k << (2 * beta) > 1 << 53:
+        beta -= 1
+    return beta
+
+
+def _slice_count(beta):
+    """Fewest slices s with 2^(-beta s) (s + 3) <= 2^-106 (see
+    :func:`dd_matmul`)."""
+    s = 1
+    while 1 << (beta * s) < (s + 3) << 106:
+        s += 1
+    return s
+
+
+def _slices(hi, lo, beta, s):
+    """s float64 matrices whose exact sum is hi + lo to within
+    (1/2 + 2^(beta - 54)) 2^(-beta s) per entry, for |hi| < 1; slice i
+    holds multiples of 2^(-beta i) of magnitude at most 2^(beta (1 - i)).
+
+    Slice i is the high word rounded to the grid 2^(-beta i) by adding and
+    subtracting 1.5 * 2^52 units; what is left, and the low word, are
+    carried on exactly as a normalized pair.
+    """
+    out = []
+    for i in range(1, s + 1):
+        c = 1.5 * 2.0 ** (52 - beta * i)
+        top = (hi + c) - c
+        out.append(top)
+        hi, lo = _two_sum(hi - top, lo)
+    return out
+
+
+def _exponents(words, axis):
+    """Per-row (axis 1) or per-column (axis 0) exponents e with every
+    |entry| < 2^e; 0 for a line of zeros."""
+    return np.frexp(np.max(np.abs(words), axis=axis))[1]
+
+
+def dd_matmul(a, b):
+    """Product of two double-double matrices from exact float64 GEMMs.
+
+    ``a`` is a (p, k) and ``b`` a (k, q) pair of hi and lo words; returns
+    the (p, q) product as a pair.  Each row of ``a`` and each column of
+    ``b`` is scaled by a power of two into (-1, 1) and cut into s slices
+    of beta bits (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59
+    (2012) 95-118): beta is the largest width with k 2^(2 beta) <= 2^53,
+    counting the bit that rounding to a slice can add, so each product of
+    slices A_i B_j is one float64 GEMM whose every partial sum is exact.
+    The products with i + j <= s + 1 are summed in double-double from the
+    highest i + j, the smallest, down.  s is the fewest slices with
+    2^(-beta s) (s + 3) <= 2^-106: 5 for k <= 512, and 6 for
+    512 < k <= 32768.
+
+    Barring underflow and overflow, entry (r, c) of the result is within
+    2^-104 k max_l |a[r, l]| max_l |b[l, c]| of the exact product.  The
+    dropped products and the slice remainders contribute at most 2^-108 k
+    on the scaled operands, whose row and column maxima are at least 1/2,
+    and the double-double additions at most about 2^-106 k on them.  With
+    k = 0 the product is exactly zero.  Operands that are not matrices,
+    whose shapes do not chain, whose hi and lo words differ in shape, or
+    that hold a non-finite entry raise :class:`DomainError`.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = (
+        tuple(np.asarray(w, dtype=float) for w in pair) for pair in (a, b))
+    if a_hi.ndim != 2 or b_hi.ndim != 2 or a_hi.shape[1] != b_hi.shape[0]:
+        raise DomainError("dd_matmul needs (p, k) and (k, q) matrices, got "
+                          "shapes %r and %r" % (a_hi.shape, b_hi.shape))
+    if a_lo.shape != a_hi.shape or b_lo.shape != b_hi.shape:
+        raise DomainError("dd_matmul got hi and lo words of different "
+                          "shapes")
+    if not all(np.all(np.isfinite(w)) for w in (a_hi, a_lo, b_hi, b_lo)):
+        raise DomainError("dd_matmul needs finite matrices")
+    k = a_hi.shape[1]
+    out = np.zeros((a_hi.shape[0], b_hi.shape[1])), \
+        np.zeros((a_hi.shape[0], b_hi.shape[1]))
+    if k == 0:
+        return out
+    beta = _slice_width(k)
+    s = _slice_count(beta)
+    ea = _exponents(a_hi, 1)[:, None]
+    eb = _exponents(b_hi, 0)[None, :]
+    sa = _slices(np.ldexp(a_hi, -ea), np.ldexp(a_lo, -ea), beta, s)
+    sb = _slices(np.ldexp(b_hi, -eb), np.ldexp(b_lo, -eb), beta, s)
+    for level in range(s + 1, 1, -1):
+        for i in range(1, level):
+            out = dd_add_f(out, sa[i - 1] @ sb[level - i - 1])
+    e = ea + eb
+    return np.ldexp(out[0], e), np.ldexp(out[1], e)
+
+
 # ------------------------------------------------------------ determinant
 
 def dd_det(a_hi, a_lo, lead=0):
@@ -514,7 +615,10 @@ def dd_det(a_hi, a_lo, lead=0):
     Returns the determinant as a scalar double-double pair, the pivots
     multiplied straight into it; an empty product is ``(1.0, 0.0)``.  A
     determinant beyond float64's range would underflow or overflow, but
-    the one this serves, the tacnode ratio det S, is of order one.
+    the one this serves, the tacnode ratio det S, is of order one.  Its
+    matrix is the ratio matrix with the identity edge block eliminated by
+    :func:`dd_matmul`, of order 2m for one gap interval at m nodes per
+    component.
 
     With ``lead = k`` the first k columns take their pivots from the
     leading k rows only, which leaves the Schur complement of the leading

@@ -20,19 +20,23 @@ Every value the package reports is a rung of one refinement ladder,
 more at 4*m0 if the Cauchy difference of the last two is still above the
 tolerance (Bornemann, Math. Comp. 79 (2010)), in the precision that the
 m0 rung's rounding floor allows: the float64 rung :func:`det_at` or its
-double-double twin :func:`det_at_dd`.  ``fredholm_det`` runs it on one
-kernel; :mod:`gapdet.gapprob` also runs it over Pearcey kernels rebuilt
-on each rung's rule and over both tacnode routes.
+double-double twin :func:`det_at_dd`.  The twin first eliminates the
+components on which the matrix is exactly the identity, which a kernel
+declares, by one double-double product, and factors only what is left.
+``fredholm_det`` runs the ladder on one kernel; :mod:`gapdet.gapprob`
+also runs it over Pearcey kernels rebuilt on each rung's rule and over
+both tacnode routes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ddmath import dd_add, dd_add_f, dd_det, dd_gauss_legendre, dd_mul, \
-    dd_mul_f, dd_sub
+from .ddmath import dd_add, dd_add_f, dd_det, dd_gauss_legendre, dd_matmul, \
+    dd_mul, dd_mul_f, dd_sub
 from .errors import (DivisionInstabilityError, DomainError,
-                     KernelEvaluationError, NonConvergenceError)
+                     KernelEvaluationError, NonConvergenceError,
+                     SanityCheckError)
 from .quadrature import gauss_legendre
 
 __all__ = ["BlockKernel", "DetResult", "assemble", "assemble_dd",
@@ -57,9 +61,14 @@ class BlockKernel:
     out.  A block on real points must be real.  ``n_edge`` counts the
     leading components that :func:`det_at` and :func:`det_at_dd` eliminate
     by a Schur complement; at the default 0 they take det(I - K W) itself.
+    ``identity_block`` names edge components between any two of which the
+    kernel vanishes, so that I - K W is the identity on them;
+    :func:`det_at_dd` eliminates them by one matrix product.  It is empty
+    by default.
     """
 
     n_edge = 0
+    identity_block = ()
 
     def __init__(self, domains=(), weights=None):
         self.domains = list(domains)
@@ -260,9 +269,34 @@ def det_at(kernel, m, parts=None, measure=False):
 
 
 def det_at_dd(kernel, m, parts):
-    """Double-double twin of :func:`det_at`: :func:`gapdet.ddmath.dd_det`
-    of :func:`assemble_dd`, with ``parts`` returned as given."""
-    det = dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+    """Double-double twin of :func:`det_at`, with ``parts`` returned as
+    given.
+
+    Let E be the kernel's ``identity_block``, edge components on which
+    N = I - K W (:func:`assemble_dd`) is exactly the identity, and X the
+    other components in layout order.  Eliminating E is one product,
+    det N = det(N_XX - N_XE N_EX), taken by :func:`gapdet.ddmath.dd_matmul`;
+    the same product on the leading edge block gives det L, so det S is
+    :func:`gapdet.ddmath.dd_det` of that order-|X| m matrix with its
+    leading (``n_edge`` - |E|) m rows as the lead.  With no E the product
+    is empty and ``dd_det`` sees N itself.  An E that holds a gap component
+    or on which N is not exactly I raises :class:`SanityCheckError`.
+    """
+    hi, lo = assemble_dd(kernel, m)
+    comps = sorted(kernel.identity_block)
+    nodes = np.arange(hi.shape[0]).reshape(-1, m)
+    e = nodes[comps].ravel()
+    x = np.delete(nodes, comps, axis=0).ravel()
+    ee = np.ix_(e, e)
+    if not (set(comps) <= set(range(kernel.n_edge))
+            and np.array_equal(hi[ee], np.eye(e.size)) and not lo[ee].any()):
+        raise SanityCheckError(
+            "identity_block %r must name edge components on which "
+            "I - K W is exactly the identity" % (comps,))
+    xe, ex, xx = np.ix_(x, e), np.ix_(e, x), np.ix_(x, x)
+    schur = dd_sub((hi[xx], lo[xx]),
+                   dd_matmul((hi[xe], lo[xe]), (hi[ex], lo[ex])))
+    det = dd_det(*schur, lead=(kernel.n_edge - len(comps)) * m)
     return float(det[0]), parts
 
 

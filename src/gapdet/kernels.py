@@ -382,7 +382,9 @@ class TacnodeHKernel(_LayoutKernel):
     ``n_edge`` counts them (2 or 3).  The kernel vanishes between two edge
     points of one role, so the leading (R+, edge) block of I - K W couples
     R+ to the edge only, and its determinant is the Airy denominator
-    F2(sigma_tilde) on the same rule.
+    F2(sigma_tilde) on the same rule.  ``identity_block`` names the
+    [sigma_tilde, cutoff] components, which the double-double rung
+    eliminates by one product.
     The cutoff is :func:`tail_cutoff`.  This layout serves both
     precisions: :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
     :func:`gapdet.fredholm.assemble_dd` reads :meth:`entry_dd`.
@@ -396,6 +398,8 @@ class TacnodeHKernel(_LayoutKernel):
                                                     label="R+")]
             + [(0, comp) for comp in edge_components(
                 params.sigma_tilde, self.cutoff, label="edge")])
+        self.identity_block = tuple(
+            i for i, role in enumerate(self._roles) if role == 0)
 
     def entry(self, i, j, x, y):
         return tacnode_block_entry(self._roles[i], self._roles[j], x, y,

@@ -4,6 +4,8 @@ Every tolerance here is relative to the oracle value computed at 50
 significant digits; a normalized double-double carries roughly 32.
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -316,3 +318,145 @@ def test_det_rejects_malformed_input():
     for hi, lo, lead in cases:
         with pytest.raises(DomainError):
             dd_det(hi, lo, lead)
+
+
+# ---------------------------------------------- dd_matmul against its oracles
+
+def pairwise_dd_matmul(a, b):
+    """Reference for dd_matmul: every term a[r, l] b[l, c] one dd_mul, the
+    k terms of each entry summed by dd_add in a balanced tree.  A product
+    rounds by at most 2^-103 |a[r, l] b[l, c]| and a tree level by at most
+    2^-104 sum_l |a[r, l] b[l, c]|, so its own error is below
+    (depth + 2) 2^-104 times that sum, with depth = ceil(log2 k)."""
+    terms = [dd_mul((a[0][:, l, None], a[1][:, l, None]),
+                    (b[0][None, l], b[1][None, l]))
+             for l in range(a[0].shape[1])]
+    while len(terms) > 1:
+        pairs = [dd_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
+
+
+def spread_dd_matrix(rng, rows, cols, positive=False):
+    """Seeded normalized pair whose rows are scaled across 1e-30..1e3; every
+    lo word of a nonzero hi word is nonzero.  ``positive`` rows hold
+    entries in [0.875, 1) times a power of two, so they fill the top of
+    their binade."""
+    if positive:
+        hi = np.ldexp(rng.uniform(0.875, 1.0, size=(rows, cols)),
+                      rng.integers(-99, 10, size=(rows, 1)))
+    else:
+        hi = rng.uniform(-1.0, 1.0, size=(rows, cols)) \
+            * 10.0 ** rng.uniform(-30.0, 3.0, size=(rows, 1))
+    return hi, rng.uniform(-0.25, 0.25, size=(rows, cols)) * np.spacing(hi)
+
+
+def matmul_operands(k, seed, positive=False):
+    """a (5 x k) with rows over 1e-30..1e3 and a zero row; b (k x 4) with
+    columns over the same span and a zero column."""
+    rng = np.random.default_rng(seed)
+    a = spread_dd_matrix(rng, 5, k, positive=positive)
+    bt = spread_dd_matrix(rng, 4, k, positive=positive)
+    b = (bt[0].T.copy(), bt[1].T.copy())
+    for w in a:
+        w[3] = 0.0
+    for w in b:
+        w[:, 1] = 0.0
+    return a, b
+
+
+def fraction_matrix(pair):
+    return [[Fraction(float(h)) + Fraction(float(l)) for h, l in zip(*rows)]
+            for rows in zip(*pair)]
+
+
+def stated_bound(a, b):
+    """dd_matmul's bound 2^-104 k max|a[r]| max|b[:, c]| per entry."""
+    k = a[0].shape[1]
+    return 2.0 ** -104 * k * np.max(np.abs(a[0]), axis=1)[:, None] \
+        * np.max(np.abs(b[0]), axis=0)[None, :]
+
+
+@pytest.mark.parametrize("k, positive", [(3, False), (47, False),
+                                         (640, True)])
+def test_matmul_slices_and_their_gemms_are_exact(k, positive):
+    # with entries at the top of their binade the slice-1 products of
+    # k = 640 sum to about 2^51 units; one more bit of slice width would
+    # carry them past 2^53
+    a, b = matmul_operands(k, 18000 + k, positive)
+    beta = ddmath._slice_width(k)
+    s = ddmath._slice_count(beta)
+    assert k << (2 * beta) <= 1 << 53
+    ea = ddmath._exponents(a[0], 1)[:, None]
+    eb = ddmath._exponents(b[0], 0)[None, :]
+    sa = ddmath._slices(np.ldexp(a[0], -ea), np.ldexp(a[1], -ea), beta, s)
+    sb = ddmath._slices(np.ldexp(b[0], -eb), np.ldexp(b[1], -eb), beta, s)
+    fa = [fraction_matrix((p, np.zeros_like(p))) for p in sa]
+    fb = [fraction_matrix((p, np.zeros_like(p))) for p in sb]
+    rest_bound = Fraction(2) ** (-beta * s) \
+        * (Fraction(1, 2) + Fraction(2) ** (beta - 54))
+    for sl, fsl, (hi, lo), e in ((sa, fa, a, ea), (sb, fb, b, eb)):
+        # slice i: multiples of 2^(-beta i), at most 2^(beta (1 - i));
+        # together they leave a remainder within rest_bound of the operand
+        for i, piece in enumerate(sl, start=1):
+            units = np.ldexp(piece, beta * i)
+            assert np.array_equal(units, np.rint(units))
+            assert np.max(np.abs(units)) <= 2.0 ** beta
+        scaled = fraction_matrix((np.ldexp(hi, -e), np.ldexp(lo, -e)))
+        for r, row in enumerate(scaled):
+            for c, x in enumerate(row):
+                assert abs(x - sum(f[r][c] for f in fsl)) <= rest_bound
+    # each GEMM against the exact product, in integer units of its level
+    ia = [np.ldexp(p, beta * i).astype(np.int64).astype(object)
+          for i, p in enumerate(sa, start=1)]
+    ib = [np.ldexp(p, beta * j).astype(np.int64).astype(object)
+          for j, p in enumerate(sb, start=1)]
+    for i in range(s):
+        for j in range(s - i):
+            got = np.ldexp(sa[i] @ sb[j], beta * (i + j + 2))
+            assert np.array_equal(got.astype(np.int64).astype(object),
+                                  ia[i] @ ib[j])
+            assert np.array_equal(got, np.rint(got))
+
+
+@pytest.mark.parametrize("k", [1, 47, 320, 640])
+def test_matmul_within_its_bound_of_the_exact_and_elementwise_products(k):
+    a, b = matmul_operands(k, 18100 + k)
+    got = ddmath.dd_matmul(a, b)
+    bound = stated_bound(a, b)
+    assert not got[0][3].any() and not got[0][:, 1].any()
+    assert not got[1][3].any() and not got[1][:, 1].any()
+    ref = pairwise_dd_matmul(a, b)
+    depth = int(np.ceil(np.log2(k)))
+    slack = (depth + 2) * 2.0 ** -104 * (np.abs(a[0]) @ np.abs(b[0]))
+    diff = (got[0] - ref[0]) + (got[1] - ref[1])
+    assert np.all(np.abs(diff) <= bound + slack)
+    # against the exact product, on the first two rows
+    fa, fb = fraction_matrix(a), fraction_matrix(b)
+    for r in (0, 1):
+        for c in range(4):
+            exact = sum(fa[r][l] * fb[l][c] for l in range(k))
+            err = Fraction(float(got[0][r, c])) \
+                + Fraction(float(got[1][r, c])) - exact
+            assert abs(err) <= Fraction(float(bound[r, c]))
+
+
+def test_matmul_of_an_empty_inner_dimension_is_zero():
+    got = ddmath.dd_matmul((np.ones((3, 0)), np.zeros((3, 0))),
+                           (np.ones((0, 2)), np.zeros((0, 2))))
+    assert np.array_equal(got[0], np.zeros((3, 2)))
+    assert np.array_equal(got[1], np.zeros((3, 2)))
+
+
+def test_matmul_rejects_malformed_input():
+    a = (np.ones((2, 3)), np.zeros((2, 3)))
+    b = (np.ones((3, 2)), np.zeros((3, 2)))
+    cases = [((np.ones(3), np.zeros(3)), b),                  # not a matrix
+             (a, (np.ones((2, 2)), np.zeros((2, 2)))),         # k differs
+             ((a[0], np.zeros((2, 2))), b),                    # word shapes
+             (a, (b[0], np.zeros((2, 3)))),
+             ((np.where(a[0] == 1.0, np.nan, 0.0), a[1]), b),  # NaN hi word
+             (a, (b[0], np.full((3, 2), np.inf)))]             # inf lo word
+    for x, y in cases:
+        with pytest.raises(DomainError):
+            ddmath.dd_matmul(x, y)

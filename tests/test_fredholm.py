@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gapdet import ddmath, fredholm
 from gapdet.errors import (DivisionInstabilityError, DomainError,
-                           KernelEvaluationError, NonConvergenceError)
-from gapdet.fredholm import (BlockKernel, assemble, det_at, determinant,
-                             fredholm_det, inverse_rcond, ladder)
+                           KernelEvaluationError, NonConvergenceError,
+                           SanityCheckError)
+from gapdet.fredholm import (BlockKernel, assemble, assemble_dd, det_at,
+                             det_at_dd, determinant, fredholm_det,
+                             inverse_rcond, ladder)
 from gapdet.gapprob import tacnode_gap_direct, tacnode_gap_ratio
 from gapdet.kernels import (AiryKernel, GapSpec, TacnodeDirectKernel,
                             TacnodeHKernel, TacnodeParams,
@@ -206,6 +209,105 @@ def test_det_at_is_the_schur_complement_determinant(make):
     assert parts == {"route": "label", "rcond_numerator": rc_num,
                      "rcond_denominator": rc_den,
                      "rounding_floor": 2.0 ** -52 * (1 / rc_num + 1 / rc_den)}
+
+
+# ---------------------------------------------------------------------------
+# Double-double rung: the identity edge block eliminated by one product
+
+def dd_rung(monkeypatch, kernel, m):
+    """det_at_dd's double-double det S, caught on its way out of dd_det,
+    and the order of the matrix that dd_det factored."""
+    seen = []
+
+    def record(hi, lo, lead=0):
+        seen.append((ddmath.dd_det(hi, lo, lead), len(hi)))
+        return seen[-1][0]
+    monkeypatch.setattr(fredholm, "dd_det", record)
+    label = {"route": "label"}
+    value, parts = det_at_dd(kernel, m, label)
+    assert parts is label and value == seen[-1][0][0]
+    return seen[-1]
+
+
+def full_lu(kernel, m):
+    """The oracle: dd_det of the whole of N, its leading edge block as the
+    lead."""
+    return ddmath.dd_det(*assemble_dd(kernel, m), lead=kernel.n_edge * m)
+
+
+def dd_gap(got, want):
+    return abs((got[0] - want[0]) + (got[1] - want[1]))
+
+
+DD_RUNGS = [
+    # sigma, times, per-time intervals, m
+    (-5.0, (0.0,), [[(-1.0, 1.0)]], 40),
+    (-5.0, (0.0,), [[(-1.0, 1.0, 0.5)]], 40),
+    (-6.0, (0.0,), [[(-1.0, 0.0), (0.5, 1.0)]], 30),
+    # heat coupling: the gap-gap block is not I
+    (-6.0, (-0.5, 0.5), [[(-1.0, 0.0, 0.3)], [(-1.0, 1.0)]], 30),
+    # sigma_tilde >= 0: one edge component, n_edge = 2
+    (0.5, (0.0,), [[(-1.0, 1.0)]], 40),
+]
+
+
+@pytest.mark.parametrize("sigma, times, per_time, m", DD_RUNGS)
+def test_dd_rung_matches_the_full_lu(monkeypatch, sigma, times, per_time, m):
+    ker = TacnodeHKernel(TacnodeParams(sigma, times), GapSpec(per_time))
+    n_gaps = len(ker.domains) - ker.n_edge
+    assert ker.identity_block == tuple(range(1, ker.n_edge))
+    det, order = dd_rung(monkeypatch, ker, m)
+    assert order == (1 + n_gaps) * m
+    want = full_lu(ker, m)
+    assert dd_gap(det, want) <= 1e-24 * abs(want[0])
+
+
+@pytest.mark.parametrize("sigma, z", [(-7.0, 0.0), (-7.0, 0.5),
+                                      (-9.0, 0.0)])
+def test_dd_rung_within_the_ladder_err_of_the_full_lu(monkeypatch, sigma, z):
+    # from sigma = -7 both eliminations are rounding-limited: at m = 80 they
+    # differ by 1e-19 relative at -7 and by 1e-13 at -9, where the rungs
+    # themselves scatter by 2e-12; the m = 80 rung must stay within the
+    # err that the ladder reports for the row
+    spec = GapSpec([[(-1.0, 1.0, z)]])
+    par = TacnodeParams(sigma, (0.0,))
+    res = tacnode_gap_ratio(spec, par)
+    assert res.parts["route"] == "double-double"
+    assert res.m_used[0] > 80
+    det, _ = dd_rung(monkeypatch, TacnodeHKernel(par, spec), 80)
+    assert dd_gap(det, full_lu(TacnodeHKernel(par, spec), 80)) \
+        <= res.err_estimate
+
+
+def test_dd_rung_positive_sigma_row_takes_double_double():
+    # sigma = 0.5 has a float64 floor of about 2e-15, so a tolerance of
+    # 1e-15 sends it through the rung with one edge component
+    res = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0)]]),
+                            TacnodeParams(0.5, (0.0,)), tol=1e-15)
+    assert res.parts["route"] == "double-double"
+    f64 = tacnode_gap_ratio(GapSpec([[(-1.0, 1.0)]]),
+                            TacnodeParams(0.5, (0.0,)))
+    assert abs(res.real - f64.real) <= f64.err_estimate
+
+
+@pytest.mark.parametrize("extra", [0, 3], ids=["R+", "gap"])
+def test_dd_rung_refuses_a_block_that_is_not_the_identity(extra):
+    # R+ couples to the edge, and a gap lies outside the edge: neither may
+    # join the identity block
+    ker = TacnodeHKernel(TacnodeParams(-5.0, (0.0,)),
+                         GapSpec([[(-1.0, 1.0)]]))
+    ker.identity_block = (extra,) + ker.identity_block
+    with pytest.raises(SanityCheckError):
+        det_at_dd(ker, 20, {})
+
+
+def test_dd_rung_without_identity_block_factors_all_of_n(monkeypatch):
+    ker = TacnodeHKernel(TacnodeParams(-5.0, (0.0,)),
+                         GapSpec([[(-1.0, 1.0)]]))
+    ker.identity_block = ()
+    det, order = dd_rung(monkeypatch, ker, 20)
+    assert order == len(ker.domains) * 20
+    assert det == full_lu(ker, 20)
 
 
 # ---------------------------------------------------------------------------

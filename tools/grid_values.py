@@ -34,9 +34,11 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 #: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
 #: m_used, route) of a float64 ratio row, a direct row and a dd row; scans
 #: whose reference value fails, so their error rows are covered too; an F2
-#: table running into the left tail, where values lose every digit; and
+#: table running into the left tail, where values lose every digit;
 #: Pearcey rows at tau = 6, with its diagnostics, and at tau = 9, past the
-#: documented window [0, 8].
+#: documented window [0, 8]; and two dd rows whose gap block is not the
+#: identity, through heat coupling at two times and through two intervals
+#: at one time.
 EXTRA_CALLS = [
     ["positivity-probe"],
     ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
@@ -51,6 +53,8 @@ EXTRA_CALLS = [
     ["tw", "--s-min", "-10", "--s-max", "-8", "--steps", "8", "--json"],
     ["pearcey", "--tau", "6", "--json"],
     ["pearcey", "--tau", "9"],
+    ["scan-tacnode-pearcey", "--sigmas", "-6", "--tau-p", "0", "0.5"],
+    ["tacnode", "--sigma", "-6", "--intervals=-1:0,0.5:1", "--json"],
 ]
 
 
