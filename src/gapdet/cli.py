@@ -27,8 +27,9 @@ from .errors import DomainError, GapdetError
 from .gapprob import (airy_gap, pearcey_gap, tacnode_gap_direct,
                       tacnode_gap_ratio, tracy_widom_F2)
 from .kernels import (_MIN_INNER, ConditionedKernel, FormalTacnodeKernel,
-                      GapSpec, PearceyParams, TacnodeParams)
-from .quadrature import DomainComponent, gauss_legendre
+                      GapSpec, PearceyParams, TacnodeParams,
+                      conditioning_edge, tail_cutoff)
+from .quadrature import gauss_legendre
 
 __all__ = ["main", "run_tw", "run_pearcey", "run_tacnode",
            "run_scan_pearcey_airy", "run_scan_tacnode_pearcey",
@@ -330,7 +331,10 @@ def run_positivity_probe(sigma, tau, n_samples=40, seed=1234, m0=40,
     """Minors of the formal extended kernel conditioned on an empty edge.
 
     Conditions the auxiliary-line block on having no points in
-    [sigma_tilde, inf), then evaluates 1x1 and 2x2 correlation
+    [sigma_tilde, inf), on the direct route's edge: one finite component
+    truncated at the cutoff of a gap spec that covers the probe's point
+    window [-4, 2] (:func:`gapdet.kernels.conditioning_edge`), with a
+    2 m0-point rule.  Then it evaluates 1x1 and 2x2 correlation
     determinants at a fixed cross-block grid plus seeded random points.
     A genuine determinantal kernel would keep every minor nonnegative;
     this one does not, and the probe reports the minimum found.  The
@@ -339,8 +343,8 @@ def run_positivity_probe(sigma, tau, n_samples=40, seed=1234, m0=40,
     """
     params = TacnodeParams(sigma=sigma, times=(tau,))
     base = FormalTacnodeKernel(params, m_inner=m_inner)
-    ck = ConditionedKernel(base, DomainComponent.ray(params.sigma_tilde),
-                           gauss_legendre(2 * m0))
+    ck = ConditionedKernel(base, conditioning_edge(params, tail_cutoff(
+        params, GapSpec([[(-4.0, 2.0)]]))), gauss_legendre(2 * m0))
     pts = [(blk, float(x)) for blk in (0, 1)
            for x in np.linspace(-3.0, 1.0, 5)]
     rng = np.random.default_rng(seed)

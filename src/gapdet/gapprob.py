@@ -12,7 +12,9 @@ on a parameter grid.
 Each tacnode route is one determinant, det S of the gap block's Schur
 complement in N = I - K W, whose leading edge block L is the ratio's
 (R+, edge) block, of determinant F2(sigma_tilde) on N's own rule, or the
-direct route's edge ray [sigma_tilde, inf).  As sigma drops, N and L
+direct route's edge [sigma_tilde, cutoff].  Both routes truncate their
+edges at one cutoff, :func:`gapdet.kernels.tail_cutoff`, which ``parts``
+report.  As sigma drops, N and L
 become ill-conditioned together while det S stays of order one.  Both
 routes climb :func:`gapdet.fredholm.ladder` on the float64 rung
 :func:`gapdet.fredholm.det_at`.  When its m0 rounding floor exceeds the
@@ -124,13 +126,14 @@ def pearcey_gap(params, m0=20, tol=1e-8):
 # ---------------------------------------------------------------------------
 # Tacnode: both routes climb one driver over their kernel
 
-def _tacnode_gap(kernel, parts, dd_parts, n_components, m0, tol):
-    """Ladder of ``kernel``'s Schur rung, labelled by ``parts``, with a
-    double-double fallback labelled by ``dd_parts`` unless that is None;
+def _tacnode_gap(kernel, route, dd, n_components, m0, tol):
+    """Ladder of ``kernel``'s Schur rung, whose ``parts`` carry ``route``
+    and the kernel's cutoff, with a double-double fallback if ``dd``;
     ``m_used`` has ``n_components`` entries.  Plain gap rows are checked to
     be probabilities."""
-    fallback = None if dd_parts is None \
-        else (lambda m: det_at_dd(kernel, m, dd_parts))
+    parts = {"route": route, "cutoff": kernel.cutoff}
+    fallback = (lambda m: det_at_dd(
+        kernel, m, dict(parts, route="double-double"))) if dd else None
     res = ladder(lambda m: det_at(kernel, m, parts, m == m0), m0, tol,
                  n_components, fallback)
     if all(z == 0.0 for _, _, _, z in kernel.spec.flat()):
@@ -173,10 +176,8 @@ def tacnode_gap_ratio(spec, params, m0=40, tol=1e-8, force_sigma=False):
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeHKernel(params, spec)
     real = all(z.imag == 0.0 for _, _, _, z in spec.flat())
-    return _tacnode_gap(
-        kernel, {"route": "float64", "cutoff": kernel.cutoff},
-        {"route": "double-double", "cutoff": kernel.cutoff} if real else None,
-        len(kernel.domains), m0, tol)
+    return _tacnode_gap(kernel, "float64", real, len(kernel.domains), m0,
+                        tol)
 
 
 def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
@@ -186,19 +187,20 @@ def tacnode_gap_direct(spec, params, m0=40, tol=1e-8, force_sigma=False):
     kernel conditioned on an empty edge [sigma_tilde, inf): the extended
     Airy kernel, the Gaussian transition and the Airy-resolvent correction.
     :class:`gapdet.kernels.TacnodeDirectKernel` lays the formal kernel out
-    over the edge and the gaps, once per call, and the gap block's Schur
-    complement conditions it, through the ratio's own rung and floor.  This
-    route cross-validates :func:`tacnode_gap_ratio` in the kernel formula.
-    It has no double-double rung: above its float64 rounding floor (at the
-    default tol, from about sigma = -5 for the gap [-1, 1]) it raises
+    over the edge, truncated at the ratio's cutoff, and the gaps, once per
+    call, and the gap block's Schur complement conditions it, through the
+    ratio's own rung and floor.  This route cross-validates
+    :func:`tacnode_gap_ratio` in the kernel formula.  It has no
+    double-double rung: above its float64 rounding floor (at the default
+    tol, from about sigma = -4.65 for the gap [-1, 1]) it raises
     :class:`DivisionInstabilityError` carrying ``rounding_floor`` and
-    ``tol``.  ``parts`` are the ratio's, with route ``"direct"`` and no
-    cutoff; ``m_used`` counts the gap intervals only.  An empty gap set
-    returns exactly 1 without assembling.
+    ``tol``.  ``parts`` are the ratio's, cutoff included, with route
+    ``"direct"``; ``m_used`` counts the gap intervals only.  An empty gap
+    set returns exactly 1 without assembling.
     """
     _check_sigma_window(params, force_sigma)
     kernel = TacnodeDirectKernel(params, spec)
-    return _tacnode_gap(kernel, {"route": "direct"}, None,
+    return _tacnode_gap(kernel, "direct", False,
                         len(kernel.domains) - kernel.n_edge, m0, tol)
 
 
@@ -220,11 +222,7 @@ def generating_function(intervals, m0=40, tol=1e-8):
     for k in range(len(norm) - 1):
         if norm[k][1] > norm[k + 1][0]:
             raise DomainError("intervals must be disjoint")
-    doms = []
-    for a, b, z in norm:
-        if np.isinf(b):
-            doms.append(DomainComponent.ray(a))
-        else:
-            doms.append(DomainComponent.finite(a, b))
+    doms = [DomainComponent.ray(a) if np.isinf(b)
+            else DomainComponent.finite(a, b) for a, b, _ in norm]
     kernel = AiryKernel(doms, [1.0 - z for _, _, z in norm])
     return fredholm_det(kernel, m0=m0, tol=tol)

@@ -36,7 +36,7 @@ __all__ = [
     "TacnodeParams", "GapSpec", "parse_interval",
     "tacnode_block_entry",
     "TacnodeHKernel",
-    "tail_cutoff",
+    "tail_cutoff", "conditioning_edge",
     "ext_airy_matrix", "coupling_matrix",
     "FormalTacnodeKernel", "ConditionedKernel", "TacnodeDirectKernel",
 ]
@@ -248,9 +248,11 @@ class GapSpec:
     """Per-time interval unions with optional generating-function weights.
 
     Constructed from one sequence per time of ``(a, b)`` or ``(a, b, z)``
-    triplets.  Intervals within a time slice are sorted; overlapping ones
-    with equal weight are merged, overlapping ones with different weights are
-    rejected.  ``z = 0`` (the default) marks a plain gap.
+    triplets.  Intervals within a time slice are sorted; overlapping or
+    touching ones with equal weight are merged, overlapping ones with
+    different weights are rejected, and touching ones with different
+    weights, which share one point, are kept apart.  ``z = 0`` (the
+    default) marks a plain gap.
     """
 
     def __init__(self, per_time):
@@ -263,12 +265,11 @@ class GapSpec:
                 if not np.isfinite(b):
                     raise DomainError(
                         "interval needs finite a < b, got [%r, %r]" % (a, b))
-                if merged and a <= merged[-1][1]:
-                    pa, pb, pz = merged[-1]
-                    if pz != z:
-                        raise DomainError(
-                            "overlapping intervals with different weights")
-                    merged[-1] = (pa, max(pb, b), pz)
+                if merged and a <= merged[-1][1] and z == merged[-1][2]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], b), z)
+                elif merged and a < merged[-1][1]:
+                    raise DomainError(
+                        "overlapping intervals with different weights")
                 else:
                     merged.append((a, b, z))
             norm.append(tuple(merged))
@@ -323,7 +324,8 @@ def tacnode_block_entry(i, j, x, y, params):
 
 
 def tail_cutoff(params, spec):
-    """Truncation point for the two left-edge components.
+    """Truncation point of every tacnode edge: the ratio's R+ and
+    [sigma_tilde, inf) edges and :func:`conditioning_edge`.
 
     The coupled block kernel mixes exp(tau*z) prefactors with Airy decay.
     Under the diagonal gauge exp(-tau*2^(1/3)*u) that symmetrizes coupling
@@ -346,20 +348,34 @@ def tail_cutoff(params, spec):
     return max(16.0, float(x), params.sigma_tilde + 8.0)
 
 
+def conditioning_edge(params, cutoff):
+    """The edge [sigma_tilde, cutoff] as one finite component: the region
+    [sigma_tilde, inf) that the direct route and the positivity probe
+    condition on empty, truncated where the ratio truncates its own edges,
+    at ``cutoff`` = :func:`tail_cutoff`."""
+    return DomainComponent.finite(params.sigma_tilde, cutoff)
+
+
 class _LayoutKernel(BlockKernel):
-    """Tacnode kernel over ``edges``, a list of (role, component) pairs
+    """Tacnode kernel over its edges, a list of (role, component) pairs
     with column weight 1 that ``n_edge`` counts, followed by one component
     per interval of ``spec``.
 
-    The role of an interval at time index k is k + 1, its columns carry the
-    factor 1 - z and its component is labelled E[k + 1].  A spec whose
-    time-slot count differs from ``params``' is refused.
+    The edges are :meth:`_edges`, which every layout ends at ``cutoff``,
+    the :func:`tail_cutoff` of (params, spec).  The role of an interval at
+    time index k is k + 1, its columns carry the factor 1 - z and its
+    component is labelled E[k + 1].  A spec whose time-slot count differs
+    from ``params``' is refused.
     """
 
-    def __init__(self, params, spec, edges):
+    def __init__(self, params, spec):
         if spec.n_times != params.r:
             raise DomainError("gap spec has %d time slots, params has %d"
                               % (spec.n_times, params.r))
+        self.params = params
+        self.spec = spec
+        self.cutoff = tail_cutoff(params, spec)
+        edges = self._edges()
         layout = [(role, 1.0, comp) for role, comp in edges] \
             + [(tidx + 1, 1.0 - z,
                 DomainComponent.finite(a, b, label="E[%d]" % (tidx + 1)))
@@ -367,8 +383,6 @@ class _LayoutKernel(BlockKernel):
         super().__init__([comp for _, _, comp in layout],
                          [w for _, w, _ in layout])
         self._roles = [role for role, _, _ in layout]
-        self.params = params
-        self.spec = spec
         self.n_edge = len(edges)
 
 
@@ -384,22 +398,21 @@ class TacnodeHKernel(_LayoutKernel):
     R+ to the edge only, and its determinant is the Airy denominator
     F2(sigma_tilde) on the same rule.  ``identity_block`` names the
     [sigma_tilde, cutoff] components, which the double-double rung
-    eliminates by one product.
-    The cutoff is :func:`tail_cutoff`.  This layout serves both
-    precisions: :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
+    eliminates by one product.  This layout serves both precisions:
+    :func:`gapdet.fredholm.assemble` reads :meth:`entry` and
     :func:`gapdet.fredholm.assemble_dd` reads :meth:`entry_dd`.
     """
 
     def __init__(self, params, spec):
-        self.cutoff = tail_cutoff(params, spec)
-        super().__init__(
-            params, spec,
-            [(-1, comp) for comp in edge_components(0.0, self.cutoff,
-                                                    label="R+")]
-            + [(0, comp) for comp in edge_components(
-                params.sigma_tilde, self.cutoff, label="edge")])
+        super().__init__(params, spec)
         self.identity_block = tuple(
             i for i, role in enumerate(self._roles) if role == 0)
+
+    def _edges(self):
+        return [(-1, comp) for comp in edge_components(0.0, self.cutoff,
+                                                       label="R+")] \
+            + [(0, comp) for comp in edge_components(
+                self.params.sigma_tilde, self.cutoff, label="edge")]
 
     def entry(self, i, j, x, y):
         return tacnode_block_entry(self._roles[i], self._roles[j], x, y,
@@ -630,12 +643,13 @@ class ConditionedKernel:
 
 
 class TacnodeDirectKernel(_LayoutKernel):
-    """Direct tacnode kernel: :class:`FormalTacnodeKernel` laid out over the
-    edge [sigma_tilde, inf) and the gap components of
+    """Direct tacnode kernel: :class:`FormalTacnodeKernel` laid out over
+    :func:`conditioning_edge` and the gap components of
     :class:`_LayoutKernel`.
 
-    The edge leads the layout with weight 1 and reads the formal kernel's
-    block 0; ``n_edge`` = 1 counts it.  A gap component of role k reads
+    The edge is one finite component that ends at the ratio's ``cutoff``;
+    it leads the layout with weight 1 and reads the formal kernel's block
+    0, and ``n_edge`` = 1 counts it.  A gap component of role k reads
     time block k.  Over this layout the gap block's Schur complement of
     I - K W is I - K_c W on the gaps, with K_c the formal kernel
     conditioned on an empty edge, so det S is the tacnode gap probability
@@ -647,9 +661,11 @@ class TacnodeDirectKernel(_LayoutKernel):
     """
 
     def __init__(self, params, spec):
-        super().__init__(params, spec,
-                         [(0, DomainComponent.ray(params.sigma_tilde))])
+        super().__init__(params, spec)
         self._formal = FormalTacnodeKernel(params)
+
+    def _edges(self):
+        return [(0, conditioning_edge(self.params, self.cutoff))]
 
     def entry(self, i, j, x, y):
         return self._formal.entry(self._roles[i], self._roles[j], x, y)

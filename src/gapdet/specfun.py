@@ -174,18 +174,17 @@ def airy_shifted(tau, x):
     if np.any(near):
         aiw = _airy_eval(w[near], prime=False)
         pn = pref[near]
+        big = pn > 700.0        # as |Ai| < 0.54, only these can overflow
         with np.errstate(divide="ignore"):
-            total = pn + np.log(np.abs(aiw))
+            total = pn[big] + np.log(np.abs(aiw[big]))
         if np.any(total > 700.0):
             raise OverflowError(
                 "airy_shifted overflow: log-magnitude %.3g exceeds float range"
                 % float(np.max(total)))
         vals = np.empty_like(pn)
-        direct = pn <= 700.0
         with np.errstate(under="ignore"):
-            vals[direct] = np.exp(pn[direct]) * aiw[direct]
-            big = ~direct
-            vals[big] = np.sign(aiw[big]) * np.exp(total[big])
+            vals[~big] = np.exp(pn[~big]) * aiw[~big]
+            vals[big] = np.sign(aiw[big]) * np.exp(total)
         out[near] = _TWO_SIXTH * vals
     return float(out[0]) if scalar else out.reshape(arr.shape)
 

@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 from gapdet.cli import (_meta, build_parser, main, pearcey_airy_endpoints,
                         tacnode_pearcey_times)
 from gapdet.errors import DomainError
+from gapdet.kernels import (GapSpec, TacnodeDirectKernel, TacnodeParams,
+                            conditioning_edge)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "tw_grid.csv")
 
@@ -275,6 +277,33 @@ def test_tacnode_direct_json_carries_rounding_floor(capsys):
     assert row["route"] == "direct"
     assert 0.0 < row["rounding_floor"] <= 1e-8
     assert row["err"] >= row["rounding_floor"] * row["F_tac"]
+
+
+def test_tacnode_touching_intervals_with_different_weights(capsys):
+    # intervals that share one point may carry different weights
+    rc, text = run_text(capsys, ["tacnode", "--sigma", "0",
+                                 "--intervals=-1:0:0.3,0:1:0.7"])
+    assert rc == 0
+    row = parse_rows(text)[0]
+    assert_allclose(float(row["F_tac"]), 0.8296511704968125, rtol=0,
+                    atol=5e-13)
+
+
+def test_positivity_probe_conditions_on_the_direct_edge(capsys, monkeypatch):
+    # the probe's region is the direct route's edge, truncated at the
+    # cutoff of a spec covering its point window [-4, 2]
+    seen = []
+
+    def spy(params, cutoff):
+        edge = conditioning_edge(params, cutoff)
+        seen.append(edge)
+        return edge
+    monkeypatch.setattr("gapdet.cli.conditioning_edge", spy)
+    assert main(["positivity-probe", "--sigma", "-1",
+                 "--n-samples", "0"]) == 0
+    par = TacnodeParams(-1.0, (0.0,))
+    want = TacnodeDirectKernel(par, GapSpec([[(-4.0, 2.0)]])).domains[0]
+    assert seen == [want]
 
 
 def test_tacnode_direct_deep_sigma_row_fails_typed(capsys):

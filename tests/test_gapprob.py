@@ -24,7 +24,7 @@ from gapdet.gapprob import (SIGMA_WINDOW, _check_probability, airy_gap,
                             tracy_widom_F2)
 from gapdet.kernels import (AiryKernel, ConditionedKernel,
                             FormalTacnodeKernel, GapSpec, PearceyParams,
-                            TacnodeParams)
+                            TacnodeDirectKernel, TacnodeParams)
 from gapdet.quadrature import DomainComponent, gauss_legendre
 from pearcey_contours import ContourPearcey
 
@@ -254,8 +254,9 @@ def test_tacnode_weighted_routes_agree():
 
 class _ConditionedGaps(BlockKernel):
     """The formal kernel conditioned on an empty edge through an explicit
-    resolvent on the m-point ray rule, one block per gap: the direct
-    route's formulation before it became a Schur complement."""
+    resolvent on the m-point rule over the direct kernel's own edge, one
+    block per gap: the direct route's formulation before it became a Schur
+    complement."""
 
     def __init__(self, spec, par, m):
         gaps = spec.flat()
@@ -263,7 +264,7 @@ class _ConditionedGaps(BlockKernel):
                          [1.0 - z for _, _, _, z in gaps])
         self.roles = [tidx + 1 for tidx, _, _, _ in gaps]
         self.ck = ConditionedKernel(FormalTacnodeKernel(par),
-                                    DomainComponent.ray(par.sigma_tilde),
+                                    TacnodeDirectKernel(par, spec).domains[0],
                                     gauss_legendre(m))
 
     def entry(self, i, j, x, y):
@@ -288,6 +289,34 @@ def test_tacnode_direct_matches_explicit_resolvent(spec, times, sigma):
     assert abs(direct.value - oracle.value) <= 1e-14
     assert direct.err_estimate >= \
         direct.parts["rounding_floor"] * abs(direct.value)
+
+
+@pytest.mark.parametrize("spec, times", [
+    (GapSpec([[(-1.0, 1.0)]]), (0.0,)),
+    (GapSpec([[(-1.0, 0.0)], [(-1.0, 1.0)]]), (-0.5, 0.5)),
+], ids=["one-time", "two-time"])
+def test_tacnode_direct_finite_edge_at_sigma_minus_4(spec, times):
+    # on the ratio's finite edge the direct route converges geometrically
+    # where the ray map did not: its err was 7.4e-9 and 2.7e-9 there, and
+    # it missed the ratio by 1.1e-13
+    par = TacnodeParams(-4.0, times)
+    ratio = tacnode_gap_ratio(spec, par)
+    direct = tacnode_gap_direct(spec, par)
+    assert abs(ratio.real - direct.real) <= 5e-14
+    assert direct.err_estimate <= 1e-9
+    assert direct.parts["cutoff"] == ratio.parts["cutoff"]
+
+
+@pytest.mark.parametrize("call", [tacnode_gap_ratio, tacnode_gap_direct],
+                         ids=["ratio", "direct"])
+def test_tacnode_touching_intervals_with_different_weights(call):
+    # [-1, 0] and [0, 1] share one point, so their weights need not agree;
+    # the value is that of the same intervals 1e-300 apart
+    par = TacnodeParams(0.0, (0.0,))
+    touching = call(GapSpec([[(-1.0, 0.0, 0.3), (0.0, 1.0, 0.7)]]), par)
+    apart = call(GapSpec([[(-1.0, 0.0, 0.3), (1e-300, 1.0, 0.7)]]), par)
+    assert touching.value == apart.value
+    assert_allclose(touching.real, 0.8296511704968125, rtol=0, atol=5e-13)
 
 
 def test_tacnode_direct_instability_is_reported():

@@ -23,6 +23,7 @@ from gapdet.kernels import (
     coupling_matrix,
     ext_airy_matrix,
     parse_interval,
+    conditioning_edge,
     tacnode_block_entry,
     tail_cutoff,
 )
@@ -231,6 +232,14 @@ def test_gap_spec_normalization():
     assert merged.flat() == [(0, 0.0, 2.0, 0.0)]
     with pytest.raises(DomainError):
         GapSpec([[(0.0, 1.0, 0.2), (0.5, 2.0, 0.8)]])
+    # intervals that share one point merge when their weights agree and
+    # stay apart when they differ
+    assert GapSpec([[(0.0, 1.0, 0.2), (1.0, 2.0, 0.2)]]).flat() \
+        == [(0, 0.0, 2.0, 0.2)]
+    assert GapSpec([[(1.0, 2.0, 0.8), (0.0, 1.0, 0.2)]]).flat() \
+        == [(0, 0.0, 1.0, 0.2), (0, 1.0, 2.0, 0.8)]
+    with pytest.raises(DomainError):
+        GapSpec([[(0.0, 1.0, 0.2), (1.0, 2.0, 0.8), (1.0, 1.5, 0.2)]])
     with pytest.raises(DomainError):
         GapSpec([[(1.0, 1.0)]])
     with pytest.raises(DomainError, match=r"\[-1\.0, 1\.0\]"):
@@ -330,6 +339,22 @@ def test_h_kernel_layout_and_weights():
     assert ker.weights == [1.0, 1.0, 1.0, 0.75]
     with pytest.raises(DomainError):
         TacnodeHKernel(par, GapSpec([[], []]))
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0, -4.0])
+def test_direct_kernel_edge_ends_at_the_ratio_cutoff(sigma):
+    # one finite edge [sigma_tilde, cutoff], truncated where the ratio
+    # truncates its own edges for the same (params, spec)
+    par = TacnodeParams(sigma, (-0.5, 0.5))
+    spec = GapSpec([[(-1.0, 0.0)], [(-2.0, 1.0, 0.3)]])
+    direct = TacnodeDirectKernel(par, spec)
+    ratio = TacnodeHKernel(par, spec)
+    assert direct.n_edge == 1
+    edge = direct.domains[0]
+    assert edge == conditioning_edge(par, tail_cutoff(par, spec))
+    assert edge.kind == "finite"
+    assert (edge.a, edge.b) == (par.sigma_tilde, ratio.cutoff)
+    assert direct.cutoff == ratio.cutoff == ratio.domains[0].b
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.0, -1.0, -2.0])
@@ -441,8 +466,8 @@ def test_resolvent_singular_far_left():
 
 
 def _conditioned_formal(par, m):
-    """The formal kernel conditioned on an empty edge through an explicit
-    resolvent on the m-point ray rule, the positivity probe's object."""
+    """The formal kernel conditioned on an empty edge [sigma_tilde, inf)
+    through an explicit resolvent on the m-point ray rule."""
     return ConditionedKernel(FormalTacnodeKernel(par),
                              DomainComponent.ray(par.sigma_tilde),
                              gauss_legendre(m))

@@ -38,7 +38,9 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 #: Pearcey rows at tau = 6, with its diagnostics, and at tau = 9, past the
 #: documented window [0, 8]; and two dd rows whose gap block is not the
 #: identity, through heat coupling at two times and through two intervals
-#: at one time.
+#: at one time; and the direct-route rows at sigma = -4, one and two times,
+#: and a positivity probe at sigma = -3, where conditioning on the edge
+#: moves values most.
 EXTRA_CALLS = [
     ["positivity-probe"],
     ["scan-tacnode-pearcey", "--sigmas", "-5", "-7"],
@@ -55,6 +57,11 @@ EXTRA_CALLS = [
     ["pearcey", "--tau", "9"],
     ["scan-tacnode-pearcey", "--sigmas", "-6", "--tau-p", "0", "0.5"],
     ["tacnode", "--sigma", "-6", "--intervals=-1:0,0.5:1", "--json"],
+    ["tacnode", "--route", "direct", "--sigma", "-4", "--intervals=-1:1",
+     "--json"],
+    ["tacnode", "--route", "direct", "--sigma", "-4", "--times", "-0.5",
+     "0.5", "--intervals=-1:0;-1:1", "--json"],
+    ["positivity-probe", "--sigma", "-3"],
 ]
 
 
