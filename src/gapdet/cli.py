@@ -4,10 +4,8 @@ Every subcommand prints a deterministic table: one `#` comment line that
 records the engine version and the full flag set (the output path is
 deliberately omitted so the same query writes identical bytes anywhere),
 a column-name line, then the rows.  ``--json`` switches to a JSON document
-carrying per-row convergence diagnostics.  Rows of either precision run
-concurrently in a thread pool capped by the ``GAPDET_THREADS`` environment
-variable and are emitted in input order; a failed row keeps its key
-columns and carries the error.
+carrying per-row convergence diagnostics.  Rows run one after another, in
+input order; a failed row keeps its key columns and carries the error.
 
 Exit codes: 0 success, 1 probe found no witness, 2 a row failed
 numerically, 3 invalid arguments.
@@ -16,9 +14,7 @@ numerically, 3 invalid arguments.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,29 +34,18 @@ __all__ = ["main", "run_tw", "run_pearcey", "run_tacnode",
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool plumbing and row helpers
-
-def _pool_size():
-    raw = os.environ.get("GAPDET_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
-
+# Row helpers
 
 def _map_rows(worker, items):
-    """Rows ``{**item, **worker(item)}`` in a pool, in input order, for
-    key-column dicts ``items``; a failed row is its item plus ``error``."""
+    """Rows ``{**item, **worker(item)}``, one after another in input order,
+    for key-column dicts ``items``; a failed row is its item plus
+    ``error``."""
     def row(item):
         try:
             return {**item, **worker(item)}
         except (GapdetError, OverflowError) as exc:
             return dict(item, error="%s: %s" % (type(exc).__name__, exc))
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(_pool_size(), len(items))) as ex:
-        return list(ex.map(row, items))
+    return [row(item) for item in items]
 
 
 def _reference(value):

@@ -308,19 +308,24 @@ def tacnode_block_entry(i, j, x, y, params):
         if i == j:
             return np.zeros((x.size, y.size))
         return -_airy_eval(X + Y, prime=False)
-    if i == -1:
-        return airy_shifted(-params.times[j - 1], _CBRT2 * X + sig - Y)
-    if i == 0:
-        return airy_shifted(-params.times[j - 1], _CBRT2 * X + Y - sig)
-    if j == -1:
-        return airy_shifted(params.times[i - 1], sig - X + _CBRT2 * Y)
-    if j == 0:
-        return airy_shifted(params.times[i - 1], X - sig + _CBRT2 * Y)
+    if i in (-1, 0):
+        return airy_shifted(-params.times[j - 1], _coupling_arg(i, X, Y, sig))
+    if j in (-1, 0):
+        return airy_shifted(params.times[i - 1], _coupling_arg(j, Y, X, sig))
     ti = params.times[i - 1]
     tj = params.times[j - 1]
     if ti > tj:
         return -heat_kernel(ti - tj, X, Y)
     return np.zeros((x.size, y.size))
+
+
+def _coupling_arg(role, e, g, sig):
+    """Argument of the shifted Airy function that couples edge points ``e``
+    of ``role`` to gap points ``g``: 2^(1/3) e + (sig - g) for role -1,
+    2^(1/3) e + (g - sig) for role 0.  The (edge, gap) block is
+    shifted(-t, arg(x, y)) and the (gap, edge) block shifted(t, arg(y, x)),
+    so at t = 0 they are exact transposes."""
+    return _CBRT2 * e + (sig - g if role == -1 else g - sig)
 
 
 def tail_cutoff(params, spec):
@@ -441,22 +446,12 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
             shape = (x[0].size, y[0].size)
             return np.zeros(shape), np.zeros(shape)
         return dd_neg(dd_airy_ai(dd_add(X, Y)))
-    if ri == -1:
-        tau = params.times[rj - 1]
-        arg = dd_add(dd_mul(X, DD_CBRT2), dd_add_f(dd_neg(Y), sig))
-        return dd_airy_shifted((-tau, 0.0), arg)
-    if ri == 0:
-        tau = params.times[rj - 1]
-        arg = dd_add(dd_mul(X, DD_CBRT2), dd_add_f(Y, -sig))
-        return dd_airy_shifted((-tau, 0.0), arg)
-    if rj == -1:
-        tau = params.times[ri - 1]
-        arg = dd_add(dd_mul(Y, DD_CBRT2), dd_add_f(dd_neg(X), sig))
-        return dd_airy_shifted((tau, 0.0), arg)
-    if rj == 0:
-        tau = params.times[ri - 1]
-        arg = dd_add(dd_mul(Y, DD_CBRT2), dd_add_f(X, -sig))
-        return dd_airy_shifted((tau, 0.0), arg)
+    if ri in (-1, 0):
+        return dd_airy_shifted((-params.times[rj - 1], 0.0),
+                               _coupling_arg_dd(ri, X, Y, sig))
+    if rj in (-1, 0):
+        return dd_airy_shifted((params.times[ri - 1], 0.0),
+                               _coupling_arg_dd(rj, Y, X, sig))
     ti = params.times[ri - 1]
     tj = params.times[rj - 1]
     if ti > tj:
@@ -464,6 +459,12 @@ def _tacnode_entry_dd(ri, rj, x, y, params):
         return dd_neg(dd_heat_kernel(dt, X, Y))
     shape = (x[0].size, y[0].size)
     return np.zeros(shape), np.zeros(shape)
+
+
+def _coupling_arg_dd(role, e, g, sig):
+    """Double-double twin of :func:`_coupling_arg`."""
+    g_sig = dd_add_f(dd_neg(g), sig) if role == -1 else dd_add_f(g, -sig)
+    return dd_add(dd_mul(e, DD_CBRT2), g_sig)
 
 
 # ---------------------------------------------------------------------------

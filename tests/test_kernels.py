@@ -296,6 +296,27 @@ def test_block_entry_coupling_rows_and_columns():
     assert_allclose(got[0, 0], want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -4.0])
+def test_coupling_blocks_are_exact_transposes_at_time_zero(sigma):
+    # both orientations of a coupling block read one argument, so at t = 0
+    # each (gap, edge) block is its (edge, gap) block transposed, bit for
+    # bit, in float64 and in double-double
+    ker = TacnodeHKernel(TacnodeParams(sigma, (0.0,)),
+                         GapSpec([[(-1.0, 1.0)]]))
+    gap = len(ker.domains) - 1
+    g = np.linspace(-1.0, 1.0, 7)
+    g_dd = (g, 1e-17 * g)
+    for edge in range(ker.n_edge):
+        e = np.linspace(ker.domains[edge].a, ker.domains[edge].b, 5)
+        e_dd = (e, 1e-17 * e)
+        block = ker.entry(edge, gap, e, g)
+        assert np.all(block != 0.0)
+        assert np.array_equal(ker.entry(gap, edge, g, e), block.T)
+        hi, lo = ker.entry_dd(edge, gap, e_dd, g_dd)
+        hi_t, lo_t = ker.entry_dd(gap, edge, g_dd, e_dd)
+        assert np.array_equal(hi_t, hi.T) and np.array_equal(lo_t, lo.T)
+
+
 def test_block_entry_time_blocks_are_causal():
     par = TacnodeParams(0.0, (-0.5, 0.5))
     x = np.array([0.1])

@@ -11,11 +11,11 @@ does: a tacnode point of f64-mix runs both routes.  Each line carries
 ``repr`` of the value, of ``err_estimate`` and of ``rounding_floor`` (``-``
 when the row has none), ``m_used`` and the route.
 It then runs each cli-scan grid call and the calls of ``EXTRA_CALLS`` as
-fresh ``gapdet`` processes with the benchmark's row threads, and prints the
-sha256 of each one's stdout and its exit code.  Two checkouts agree bit for
-bit on the grid when their outputs are identical, so one ``diff`` of two
-runs checks a change that claims to move no value.  The deep dd-deep rows
-take most of the run, about a minute on one core.
+fresh ``gapdet`` processes, and prints the sha256 of each one's stdout and
+its exit code.  Two checkouts agree bit for bit on the grid when their
+outputs are identical, so one ``diff`` of two runs checks a change that
+claims to move no value.  The deep dd-deep rows take most of the run,
+about a minute on one core.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: CLI calls hashed after the cli-scan grid: the default positivity probe;
-#: two double-double rows at once; JSON diagnostics (parts, rconds, floor,
+#: a scan of two double-double rows; JSON diagnostics (parts, rconds, floor,
 #: m_used, route) of a float64 ratio row, a direct row and a dd row; scans
 #: whose reference value fails, so their error rows are covered too; an F2
 #: table running into the left tail, where values lose every digit;
@@ -98,8 +98,7 @@ def library_lines(grid, runner):
 
 def cli_lines(grid):
     """sha256 of stdout and the exit code of each CLI call."""
-    env = dict(os.environ, GAPDET_THREADS=str(workloads.CLI_THREADS),
-               PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     calls = [workloads.cli_argv(kind, point["params"])
              for kind, points in sorted(grid["cli-scan"]["slots"].items())
              for point in points]
